@@ -274,6 +274,16 @@ def _cmd_gantt(args) -> int:
     return EXIT_OK
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sharedsched",
@@ -287,7 +297,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("brute", help="exhaustive exact search")
     p.add_argument("instance")
-    p.add_argument("--max-jobs", type=int, default=8)
+    p.add_argument("--max-jobs", type=_positive_int, default=8)
     p.set_defaults(func=_cmd_brute)
 
     p = sub.add_parser("eval", help="evaluate a synchronized schedule")
@@ -319,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gantt", help="ASCII chart of a synchronized schedule")
     p.add_argument("instance")
     p.add_argument("schedule")
-    p.add_argument("--width", type=int, default=60)
+    p.add_argument("--width", type=_positive_int, default=60)
     p.set_defaults(func=_cmd_gantt)
 
     return parser

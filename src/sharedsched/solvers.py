@@ -7,13 +7,12 @@ processing time, deal them round-robin across the m shared processors
 1/2, 1/4, ..., and the first ``n - (ceil(n/m) - 1) * m`` processors get
 one extra job), then run each processor's jobs in ascending order.
 
-``brute_force`` is the exact oracle: it enumerates every assignment of
-each job to {private-only, processor 1..m} and every per-processor
-order, skipping infeasible orders, and returns a maximizer with a
-deterministic tie-break.  The hot inner loop runs on a compiled kernel
-when the extension module built from ``_permsearch_cy.pyx`` is
-importable and the scaled integers fit in 64 bits; otherwise a
-pure-Python twin with identical semantics takes over.
+``brute_force`` is the exact oracle: it finds the best assignment of
+each job to {private-only, processor 1..m} with the best feasible
+per-processor orders, and returns a maximizer with a deterministic
+tie-break.  Its search runs in ``_permsearch`` on integers scaled by
+powers of two: a dominance DP gives every job subset its best order,
+then a sweep over canonical processor labellings picks the assignment.
 """
 
 from __future__ import annotations
@@ -22,15 +21,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from . import _permsearch as _pure_kernel
+from . import _permsearch
 from .dyadic import ZERO, Dyadic, as_dyadic
 from .engine import SyncSchedule, check_feasible, evaluate, evaluate_sequence
 from .model import Instance, Job
-
-try:
-    from . import _permsearch_cy as _compiled_kernel
-except ImportError:  # extension not built; pure fallback
-    _compiled_kernel = None
 
 __all__ = [
     "PositionalWeights",
@@ -45,8 +39,6 @@ __all__ = [
     "improve_by_exchanges",
     "search_backend",
 ]
-
-_INT64_BOUND = 1 << 62
 
 
 class InstanceTooLargeError(ValueError):
@@ -141,8 +133,8 @@ def single_processor_ascending(jobs: Sequence) -> Dyadic:
 
 
 def search_backend() -> str:
-    """Which exhaustive-search twin is active: "compiled" or "pure"."""
-    return "pure" if _compiled_kernel is None else "compiled"
+    """The exhaustive-search backend; always "pure" Python."""
+    return "pure"
 
 
 def _scaled_integers(inst: Instance) -> tuple[list[int], list[int], int]:
@@ -158,10 +150,12 @@ def _scaled_integers(inst: Instance) -> tuple[list[int], list[int], int]:
 def brute_force(
     inst: Instance, limits: SearchLimits = SearchLimits()
 ) -> tuple[SyncSchedule, Dyadic]:
-    """Exact optimum by exhaustive enumeration.
+    """Exact optimum by exhaustive search.
 
     Every assignment of each job to {private-only, processor 1..m} is
-    combined with every feasible per-processor order.  Ties are broken
+    combined with every feasible per-processor order, up to dominated
+    order prefixes and relabellings of the processors, neither of which
+    can change the optimum or its tie-break.  Ties are broken
     deterministically: lexicographically smallest assignment vector (in
     instance job order), then lexicographically smallest orders.
     """
@@ -178,12 +172,7 @@ def brute_force(
             f"max_candidates = {limits.max_candidates}"
         )
     ps, ws, exponent = _scaled_integers(inst)
-    kernel = _pure_kernel
-    if _compiled_kernel is not None and n <= 16 and inst.m <= 16:
-        bound = n * max(ps, default=0) * max(ws, default=0) << max(n - 1, 0)
-        if bound < _INT64_BOUND:
-            kernel = _compiled_kernel
-    best_num, _, orders = kernel.search(ps, ws, inst.m)
+    best_num, _, orders = _permsearch.search(ps, ws, inst.m)
     schedule = SyncSchedule(
         tuple(tuple(inst.jobs[j].id for j in order) for order in orders)
     )

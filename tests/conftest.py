@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import permutations
 
 import pytest
 
@@ -61,13 +60,25 @@ def oracle_all_maximizers(jobs, m):
     n = len(jobs)
     best = None
     winners = []
+    jobs = [(Fraction(p), Fraction(w)) for p, w in jobs]
+    # Every feasible order of every subset with its value, per subset in
+    # lexicographic order (as permutations() lists them).  One depth-first
+    # walk over order prefixes builds them all, so each prefix's start time
+    # and value are computed once and shared by all its extensions, and
+    # each subset's list is built once rather than once per assignment.
+    orders_of = {(): [(Fraction(0), ())]}
 
-    def proc_orders(subset):
-        out = []
-        for perm in permutations(subset):
-            if oracle_feasible([jobs[i][0] for i in perm]):
-                out.append((oracle_value([jobs[i] for i in perm]), perm))
-        return out
+    def grow(perm, t, value):
+        for i in range(n):
+            p, w = jobs[i]
+            if i in perm or p <= t:
+                continue  # an infeasible prefix has no feasible extension
+            ext = perm + (i,)
+            ext_value = value + (p - t) / 2 * w
+            orders_of.setdefault(tuple(sorted(ext)), []).append((ext_value, ext))
+            grow(ext, (t + p) / 2, ext_value)
+
+    grow((), Fraction(0), Fraction(0))
 
     def expand(proc, assignment, orders, total):
         nonlocal best, winners
@@ -78,8 +89,8 @@ def oracle_all_maximizers(jobs, m):
             elif total == best:
                 winners.append((tuple(assignment), tuple(orders)))
             return
-        subset = [i for i in range(n) if assignment[i] == proc]
-        for value, perm in proc_orders(subset):
+        subset = tuple(i for i in range(n) if assignment[i] == proc)
+        for value, perm in orders_of.get(subset, ()):
             orders.append(perm)
             expand(proc + 1, assignment, orders, total + value)
             orders.pop()

@@ -82,6 +82,16 @@ def test_brute_too_large_exits_4(workdir, capsys):
     assert run(capsys, "brute", inst, "--max-jobs", "9")[0] == 0
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_brute_nonpositive_max_jobs_exits_2(workdir, capsys, value):
+    _, write = workdir
+    inst = write("i.json", '{"m":1,"jobs":[{"id":"a","p":"4","w":"1"}]}')
+    with pytest.raises(SystemExit) as exc:
+        main(["brute", inst, "--max-jobs", value])
+    assert exc.value.code == 2
+    assert "--max-jobs" in capsys.readouterr().err
+
+
 def test_brute_empty_instance(workdir, capsys):
     _, write = workdir
     inst = write("empty.json", '{"m":1,"jobs":[]}')
@@ -337,6 +347,17 @@ def test_gantt_single_job(workdir, capsys):
     # synchronized single job: both bars cover the full horizon
     assert lines[1].endswith("|aaaaaaaa|")
     assert lines[2].endswith("|========|")
+
+
+@pytest.mark.parametrize("value", ["0", "-5"])
+def test_gantt_nonpositive_width_exits_2(workdir, capsys, value):
+    _, write = workdir
+    inst = write("i.json", '{"m":1,"jobs":[{"id":"a","p":"4","w":"1"}]}')
+    sched = write("s.json", '{"processors":[{"id":1,"order":["a"]}]}')
+    with pytest.raises(SystemExit) as exc:
+        main(["gantt", inst, sched, "--width", value])
+    assert exc.value.code == 2
+    assert "--width" in capsys.readouterr().err
 
 
 def test_gantt_infeasible_exits_5(workdir, capsys):

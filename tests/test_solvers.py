@@ -1,4 +1,7 @@
-"""Equal-weight solver, exhaustive oracle, local search, kernel parity."""
+"""Equal-weight solver, exhaustive oracle, local search, search differentials."""
+
+from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -14,17 +17,11 @@ from sharedsched.solvers import (
     equal_weights_value,
     improve_by_exchanges,
     positional_weights,
-    search_backend,
     single_processor_ascending,
     solve_equal_weights,
 )
 
 from conftest import frac, make_instance, oracle_all_maximizers
-
-try:
-    from sharedsched import _permsearch_cy
-except ImportError:
-    _permsearch_cy = None
 
 D = Dyadic
 
@@ -216,26 +213,89 @@ def test_equal_weights_brute_agreement(rng):
         assert evaluate(schedule, inst).total == brute_value
 
 
-@pytest.mark.skipif(_permsearch_cy is None, reason="compiled kernel not built")
-def test_kernel_twins_agree(rng):
-    assert search_backend() == "compiled"
+# -- search differentials --------------------------------------------------------
+
+
+def _product_sweep(ps, ws, m):
+    """The enumeration the search replaces: every subset's orders through
+    ``subset_best``, then all (m+1)^n assignments in lexicographic order,
+    keeping the first strict maximum."""
+    n = len(ps)
+    values = [0] * (1 << n)
+    perms = [()] * (1 << n)
+    for mask in range(1, 1 << n):
+        value, perm = _permsearch.subset_best(ps, ws, mask)
+        values[mask] = value << (n - mask.bit_count())
+        perms[mask] = perm
+    best = (-1, (), ())
+    for assign in product(range(m + 1), repeat=n):
+        masks = [0] * (m + 1)
+        for j, proc in enumerate(assign):
+            masks[proc] |= 1 << j
+        total = sum(values[mask] for mask in masks[1:])
+        if total > best[0]:
+            best = (total, assign, tuple(perms[mask] for mask in masks[1:]))
+    return best
+
+
+# Each has a job set whose smallest optimal order ends later than another
+# optimal order of it, so that order is off the set's Pareto front.
+_EQUAL_VALUE_ORDERS = [
+    ([2, 4, 5], [3, 3, 4], 1),
+    ([4, 6, 7, 5], [2, 3, 2, 3], 2),
+    ([2, 8, 2, 3, 3], [3, 3, 2, 3, 3], 3),
+]
+
+
+def _tie_heavy_cases(rng, count, max_n, max_m):
+    """Instances built for ties: few distinct p and w, repeated jobs."""
+    cases = list(_EQUAL_VALUE_ORDERS)
+    for idx in range(count):
+        n, m = rng.randint(0, max_n), rng.randint(1, max_m)
+        if idx % 4 == 0:  # one job repeated, plus at most one other
+            twin, other = (rng.randint(2, 8), rng.randint(1, 3)), (rng.randint(2, 8), 1)
+            jobs = [twin if rng.random() < 0.7 else other for _ in range(n)]
+        elif idx % 4 == 1:  # equal p, weights from two values
+            p = rng.randint(2, 9)
+            jobs = [(p, rng.choice((1, 2))) for _ in range(n)]
+        elif idx % 4 == 2:  # equal w, processing times from three values
+            jobs = [(rng.choice((4, 6, 8)), 3) for _ in range(n)]
+        else:  # small values: equal-value orders that end at different times
+            jobs = [(rng.randint(1, 8), rng.randint(1, 3)) for _ in range(n)]
+        cases.append(([p for p, _ in jobs], [w for _, w in jobs], m))
+    return cases
+
+
+def test_search_matches_oracle_tie_break(rng):
+    cases = _tie_heavy_cases(rng, 40, 6, 3)
     for _ in range(30):
         n, m = rng.randint(0, 6), rng.randint(1, 3)
-        ps = [rng.randint(1, 60) for _ in range(n)]
-        ws = [rng.randint(1, 60) for _ in range(n)]
-        assert _permsearch.search(ps, ws, m) == _permsearch_cy.search(ps, ws, m)
+        ps = [rng.randint(1, 40) for _ in range(n)]
+        ws = [rng.randint(1, 9) for _ in range(n)]
+        cases.append((ps, ws, m))
+    for ps, ws, m in cases:
+        value, assign, orders = _permsearch.search(ps, ws, m)
+        best, winners = oracle_all_maximizers(list(zip(ps, ws)), m)
+        assert Fraction(value, 1 << len(ps)) == best
+        assert (assign, orders) == min(winners), (ps, ws, m)
 
 
-@pytest.mark.skipif(_permsearch_cy is None, reason="compiled kernel not built")
-def test_kernel_subset_best_agrees(rng):
-    for _ in range(30):
-        n = rng.randint(1, 6)
-        ps = [rng.randint(1, 60) for _ in range(n)]
-        ws = [rng.randint(1, 60) for _ in range(n)]
-        mask = rng.randint(1, (1 << n) - 1)
-        assert _permsearch.subset_best(ps, ws, mask) == _permsearch_cy.subset_best(
-            ps, ws, mask
-        )
+def test_search_matches_product_sweep(rng):
+    cases = [([], [], 1), ([], [], 3), ([5, 9], [2, 1], 4), ([7], [3], 2)]
+    for idx in range(60):
+        n, m = rng.randint(1, 7), rng.randint(1, 3)
+        ws = [rng.randint(1, 100) for _ in range(n)]
+        if idx % 3 == 0:  # narrow band: nearly every order is feasible
+            ps = [rng.randint(900, 1000) for _ in range(n)]
+        elif idx % 3 == 1:  # wide: many orders infeasible
+            ps = [rng.randint(1, 100) for _ in range(n)]
+        else:  # dyadic-scaled: cleared denominators of mixed powers of two
+            ps = [rng.randint(1, 9) << rng.randint(0, 6) for _ in range(n)]
+            ws = [w << rng.randint(0, 4) for w in ws]
+        cases.append((ps, ws, m))
+    cases += _tie_heavy_cases(rng, 40, 7, 4)
+    for ps, ws, m in cases:
+        assert _permsearch.search(ps, ws, m) == _product_sweep(ps, ws, m), (ps, ws, m)
 
 
 def test_pure_kernel_tie_break():
