@@ -12,9 +12,9 @@ Subcommands:
 * ``gantt``        time-proportional ASCII chart
 
 Exit codes are stable: 0 ok, 2 parse/validation error, 3 wrong solver
-for the instance, 4 size limit exceeded, 5 infeasible or invalid
-schedule.  All numeric output is exact dyadic strings; identical inputs
-produce byte-identical output.
+for the instance, 4 size limit exceeded (including a value too long to
+print in decimal), 5 infeasible or invalid schedule.  All numeric output
+is exact dyadic strings; identical inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -35,6 +35,19 @@ EXIT_TOO_LARGE = 4
 EXIT_INFEASIBLE = 5
 
 _PROPERTIES = ("v-shape", "ordered", "synchronized", "inclusive")
+
+
+class OutputTooLargeError(Exception):
+    """A value's decimal form exceeds Python's int-to-str digit limit."""
+
+
+def _text(value: Dyadic) -> str:
+    try:
+        return str(value)
+    except ValueError as exc:  # str(int) refuses past sys.get_int_max_str_digits()
+        raise OutputTooLargeError(
+            f"a result value has more than {sys.get_int_max_str_digits()} decimal digits"
+        ) from exc
 
 
 def _emit(data) -> None:
@@ -62,13 +75,13 @@ def _report_json(report: engine.EvalReport) -> dict:
             {
                 "id": proc.id,
                 "order": list(proc.order),
-                "start_times": [str(t) for t in proc.start_times],
-                "overlaps": [str(t) for t in proc.overlaps],
+                "start_times": [_text(t) for t in proc.start_times],
+                "overlaps": [_text(t) for t in proc.overlaps],
             }
             for proc in report.processors
         ],
-        "job_overlaps": {job_id: str(t) for job_id, t in report.job_overlaps.items()},
-        "total": str(report.total),
+        "job_overlaps": {job_id: _text(t) for job_id, t in report.job_overlaps.items()},
+        "total": _text(report.total),
     }
 
 
@@ -76,7 +89,7 @@ def _cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     schedule = solvers.solve_equal_weights(inst)
     report = engine.evaluate(schedule, inst)
-    _emit({"schedule": _schedule_json(schedule), "value": str(report.total)})
+    _emit({"schedule": _schedule_json(schedule), "value": _text(report.total)})
     return EXIT_OK
 
 
@@ -84,15 +97,13 @@ def _cmd_brute(args) -> int:
     inst = _load_instance(args.instance)
     limits = solvers.SearchLimits(max_jobs=args.max_jobs)
     schedule, value = solvers.brute_force(inst, limits)
-    _emit({"schedule": _schedule_json(schedule), "value": str(value)})
+    _emit({"schedule": _schedule_json(schedule), "value": _text(value)})
     return EXIT_OK
 
 
 def _cmd_eval(args) -> int:
     inst = _load_instance(args.instance)
-    schedule = engine.parse_sync_schedule(_read(args.schedule), inst.m)
-    for job_id in schedule.scheduled_ids():
-        inst.job(job_id)  # unknown ids are a parse-level error
+    schedule = _sync_schedule(_read(args.schedule), inst)
     report = engine.evaluate(schedule, inst)
     _emit(_report_json(report))
     return EXIT_OK
@@ -105,12 +116,22 @@ def _cmd_transform(args) -> int:
     _emit(
         {
             "schedule": _schedule_json(report.schedule),
-            "value_before": str(report.value_before),
-            "value_after": str(report.value_after),
-            "value_delta": str(report.value_after - report.value_before),
+            "value_before": _text(report.value_before),
+            "value_after": _text(report.value_after),
+            "value_delta": _text(report.value_after - report.value_before),
         }
     )
     return EXIT_OK
+
+
+def _sync_schedule(text: str, inst: Instance) -> engine.SyncSchedule:
+    """Parse a synchronized schedule; unknown job ids are a parse-level
+    error, reported for the first one in processor order."""
+    schedule = engine.parse_sync_schedule(text, inst.m)
+    for seq in schedule.sequences:
+        for job_id in seq:
+            inst.job(job_id)
+    return schedule
 
 
 def _sequences_for_check(text: str, inst: Instance):
@@ -121,10 +142,7 @@ def _sequences_for_check(text: str, inst: Instance):
     except json.JSONDecodeError as exc:
         raise InstanceError(f"malformed JSON: {exc}") from exc
     if isinstance(data, dict) and "processors" in data:
-        schedule = engine.parse_sync_schedule(text, inst.m)
-        for job_id in schedule.scheduled_ids():
-            inst.job(job_id)
-        return schedule.sequences, None
+        return _sync_schedule(text, inst).sequences, None
     general = transforms.parse_general_schedule(text)
     violations = transforms.validate(general, inst)
     if violations:
@@ -152,20 +170,13 @@ def _cmd_check(args) -> int:
             for proc, seq in enumerate(sequences, start=1):
                 if not engine.is_v_shaped([inst.job(j) for j in seq]):
                     failures.append(f"processor {proc}: order {list(seq)} is not V-shaped")
-        elif name == "ordered":
+        elif name in ("ordered", "synchronized"):
             if general is not None:
-                if not transforms.is_ordered(general):
-                    failures.append("schedule is not ordered")
+                holds = transforms.is_ordered if name == "ordered" else transforms.is_synchronized
+                if not holds(general):
+                    failures.append(f"schedule is not {name}")
             else:
-                for proc, seq in enumerate(sequences, start=1):
-                    bad = engine.check_feasible([inst.job(j) for j in seq])
-                    if bad is not None:
-                        failures.append(f"processor {proc}: infeasible at position {bad}")
-        elif name == "synchronized":
-            if general is not None:
-                if not transforms.is_synchronized(general):
-                    failures.append("schedule is not synchronized")
-            else:
+                # a synchronized schedule is ordered and synchronized exactly when feasible
                 for proc, seq in enumerate(sequences, start=1):
                     bad = engine.check_feasible([inst.job(j) for j in seq])
                     if bad is not None:
@@ -227,9 +238,7 @@ def _bar_column(t: Dyadic, horizon: Dyadic, width: int) -> int:
 
 def _cmd_gantt(args) -> int:
     inst = _load_instance(args.instance)
-    schedule = engine.parse_sync_schedule(_read(args.schedule), inst.m)
-    for job_id in schedule.scheduled_ids():
-        inst.job(job_id)
+    schedule = _sync_schedule(_read(args.schedule), inst)
     report = engine.evaluate(schedule, inst)
     width = args.width
     private_end = {}
@@ -247,7 +256,7 @@ def _cmd_gantt(args) -> int:
     for proc in report.processors:
         if proc.start_times:
             horizon = max(horizon, proc.start_times[-1])
-    lines = [f"time 0..{horizon}  ({width} columns)"]
+    lines = [f"time 0..{_text(horizon)}  ({width} columns)"]
     labels = [f"M{proc.id}" for proc in report.processors]
     labels += [f"P {job.id}" for job in inst.jobs]
     pad = max((len(label) for label in labels), default=0)
@@ -345,7 +354,7 @@ def main(argv=None) -> int:
     except solvers.UnequalWeightsError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_WRONG_SOLVER
-    except solvers.InstanceTooLargeError as exc:
+    except (solvers.InstanceTooLargeError, OutputTooLargeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_TOO_LARGE
     except engine.InfeasibleScheduleError as exc:

@@ -9,18 +9,27 @@ no rounding anywhere and no general division.
 
 Canonical form: the mantissa is odd or zero, and zero has exponent 0.
 Values are immutable and safe to share between threads.
+
+Hot loops elsewhere in the package do not use this type: they clear the
+denominators of their inputs by one power of two
+(:func:`_clear_denominators`), run on plain integers, and build a
+``Dyadic`` once per result.
 """
 
 from __future__ import annotations
 
-import fractions
 import re
+import sys
+from typing import Sequence
 
 __all__ = ["Dyadic", "as_dyadic", "ZERO", "ONE"]
 
 _INT_RE = re.compile(r"^-?\d+$")
 _FRAC_RE = re.compile(r"^(-?\d+)/(\d+)$")
 _POW_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
+
+# hash(int) and hash(Fraction) reduce modulo the Mersenne prime 2**_HASH_BITS - 1
+_HASH_BITS = sys.hash_info.modulus.bit_length()
 
 
 class Dyadic:
@@ -37,7 +46,7 @@ class Dyadic:
             raise ValueError("exponent must be non-negative")
         if mantissa == 0:
             exponent = 0
-        else:
+        elif exponent:
             # strip factors of two shared with the denominator
             shift = min(exponent, ((mantissa & -mantissa).bit_length() - 1))
             mantissa >>= shift
@@ -164,8 +173,13 @@ class Dyadic:
         return self._cmp(other) >= 0
 
     def __hash__(self) -> int:
-        # consistent with int/Fraction hashing so Dyadic(4) == 4 hashes alike
-        return hash(fractions.Fraction(self.mantissa, 1 << self.exponent))
+        # equal to hash(Fraction(mantissa, 2**exponent)), hence to hash(int)
+        # for integers: |mantissa| / 2**exponent modulo the Mersenne prime,
+        # where 2**-e is 2**(-e mod bits) because 2**bits == 1 there
+        h = hash(hash(abs(self.mantissa)) << (-self.exponent % _HASH_BITS))
+        if self.mantissa < 0:
+            h = -h
+        return -2 if h == -1 else h
 
     def __bool__(self) -> bool:
         return self.mantissa != 0
@@ -200,6 +214,16 @@ def as_dyadic(value) -> Dyadic:
     if isinstance(value, str):
         return Dyadic.from_string(value)
     raise TypeError(f"cannot interpret {type(value).__name__} as a dyadic rational")
+
+
+def _clear_denominators(values: Sequence[Dyadic]) -> tuple[list[int], int]:
+    """Integers ``ints`` and one exponent ``e`` with ``values[i] == ints[i] / 2**e``.
+
+    ``e`` is the largest exponent among the values (0 for none), so the
+    integers are as small as a common power of two allows.
+    """
+    e = max([v.exponent for v in values], default=0)
+    return [v.mantissa << (e - v.exponent) for v in values], e
 
 
 ZERO = Dyadic(0)

@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .dyadic import ZERO, Dyadic, as_dyadic
+from .dyadic import ZERO, Dyadic, _clear_denominators, as_dyadic
 from .model import Instance, InstanceError, Job
 
 __all__ = [
@@ -117,32 +116,54 @@ def _weights(items: Iterable) -> list[Dyadic]:
     return [item.w if isinstance(item, Job) else as_dyadic(item) for item in items]
 
 
+def _halving(ps: Sequence[Dyadic]) -> tuple[list[int], list[int], int]:
+    """The recurrence on integers: ``(ints, times, s)`` with ``ps[i] ==
+    ints[i] / 2**s`` and ``T_{i+1} == times[i] / 2**s`` for i = 0..k.
+
+    ``s`` is the largest exponent among the p plus k, so every halving
+    step is an exact shift (T_{i+1} has at most i more binary digits
+    after the point than the p).
+    """
+    ints, e = _clear_denominators(ps)
+    k = len(ints)
+    ints = [p << k for p in ints]
+    times = [0]
+    t = 0
+    for p in ints:
+        t = (t + p) >> 1
+        times.append(t)
+    return ints, times, e + k
+
+
+def _first_violation(ints: list[int], times: list[int]) -> int | None:
+    for i, (p, t) in enumerate(zip(ints, times), start=1):
+        if p <= t:
+            return i
+    return None
+
+
 def start_times(perm: Sequence) -> list[Dyadic]:
     """T_1..T_{k+1} for a job order: T_1 = 0, T_{i+1} = (T_i + p_i)/2."""
-    result = [ZERO]
-    for p in _times(perm):
-        result.append((result[-1] + p).half())
-    return result
+    _, times, s = _halving(_times(perm))
+    return [Dyadic(t, s) for t in times]
 
 
 def check_feasible(perm: Sequence) -> int | None:
     """Return the first 1-based position with ``p_i <= T_i``, or None if ok."""
-    t = ZERO
-    for i, p in enumerate(_times(perm), start=1):
-        if not p > t:
-            return i
-        t = (t + p).half()
-    return None
+    ints, times, _ = _halving(_times(perm))
+    return _first_violation(ints, times)
+
+
+def _weighted_sum(times: list[int], ws: list[int]) -> int:
+    # sum of overlap_i * w_i, where overlap_i = (p_i - T_i)/2 = T_{i+1} - T_i
+    return sum([(b - a) * w for a, b, w in zip(times, times[1:], ws)])
 
 
 def evaluate_sequence(perm: Sequence) -> Dyadic:
     """Total weighted overlap of one shared-processor order via the recurrence."""
-    t = ZERO
-    total = ZERO
-    for p, w in zip(_times(perm), _weights(perm)):
-        total = total + (p - t).half() * w
-        t = (t + p).half()
-    return total
+    _, times, s = _halving(_times(perm))
+    ws, f = _clear_denominators(_weights(perm))
+    return Dyadic(_weighted_sum(times, ws), s + f)
 
 
 def evaluate(schedule: SyncSchedule, inst: Instance) -> EvalReport:
@@ -155,27 +176,28 @@ def evaluate(schedule: SyncSchedule, inst: Instance) -> EvalReport:
     if schedule.m != inst.m:
         raise InstanceError(f"schedule has {schedule.m} processors, instance has {inst.m}")
     overlaps = {job.id: ZERO for job in inst.jobs}
+    total, scale = 0, 0  # the weighted total is total / 2**scale
     processors = []
-    total = ZERO
     for proc_idx, seq in enumerate(schedule.sequences, start=1):
         jobs = [inst.job(job_id) for job_id in seq]
-        violation = check_feasible(jobs)
+        ints, times, s = _halving([job.p for job in jobs])
+        violation = _first_violation(ints, times)
         if violation is not None:
             raise InfeasibleScheduleError(violation, seq[violation - 1], proc_idx)
-        times = start_times(jobs)
-        proc_overlaps = []
-        for i, job in enumerate(jobs):
-            bar = (job.p - times[i]).half()
-            proc_overlaps.append(bar)
-            overlaps[job.id] = bar
-            total = total + bar * job.w
+        ws, f = _clear_denominators([job.w for job in jobs])
+        weighted = _weighted_sum(times, ws)
+        if s + f > scale:
+            total <<= s + f - scale
+            scale = s + f
+        total += weighted << (scale - s - f)
+        bars = [Dyadic(b - a, s) for a, b in zip(times, times[1:])]
+        overlaps.update(zip(seq, bars))
         processors.append(
-            ProcessorEval(proc_idx, tuple(seq), tuple(times), tuple(proc_overlaps))
+            ProcessorEval(proc_idx, tuple(seq), tuple(Dyadic(t, s) for t in times), tuple(bars))
         )
-    return EvalReport(tuple(processors), overlaps, total)
+    return EvalReport(tuple(processors), overlaps, Dyadic(total, scale))
 
 
-@lru_cache(maxsize=None)
 def lower_halving_matrix(k: int) -> tuple[tuple[Dyadic, ...], ...]:
     """k x k matrix with entry 1/2^(i-j) strictly below the diagonal."""
     return tuple(
@@ -183,7 +205,6 @@ def lower_halving_matrix(k: int) -> tuple[tuple[Dyadic, ...], ...]:
     )
 
 
-@lru_cache(maxsize=None)
 def upper_halving_matrix(k: int) -> tuple[tuple[Dyadic, ...], ...]:
     """Transpose of :func:`lower_halving_matrix`."""
     lower = lower_halving_matrix(k)

@@ -19,10 +19,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Sequence
 
 from . import _permsearch
-from .dyadic import ZERO, Dyadic, as_dyadic
+from .dyadic import Dyadic, _clear_denominators, as_dyadic
 from .engine import SyncSchedule, check_feasible, evaluate, evaluate_sequence
 from .model import Instance, Job
 
@@ -88,63 +89,66 @@ def positional_weights(n: int, m: int) -> PositionalWeights:
     return PositionalWeights(k, tail, tuple(weights))
 
 
-def _descending(jobs: Iterable[Job]) -> list[Job]:
-    # stable two-pass sort: descending p, ties broken by ascending id
-    return sorted(sorted(jobs, key=lambda j: j.id), key=lambda j: j.p, reverse=True)
-
-
-def _ascending(jobs: Iterable[Job]) -> list[Job]:
-    return sorted(sorted(jobs, key=lambda j: j.id), key=lambda j: j.p)
-
-
 def solve_equal_weights(inst: Instance) -> SyncSchedule:
     """Optimal schedule for equal weights; every job lands on a shared
     processor and every per-processor order is ascending."""
     if not inst.equal_weights():
         raise UnequalWeightsError("weights are not all equal; use brute_force instead")
-    buckets: list[list[Job]] = [[] for _ in range(inst.m)]
-    for idx, job in enumerate(_descending(inst.jobs)):
-        buckets[idx % inst.m].append(job)
-    return SyncSchedule(
-        tuple(tuple(job.id for job in _ascending(bucket)) for bucket in buckets)
-    )
+    jobs = inst.jobs
+    keys, _ = _clear_denominators([job.p for job in jobs])
+    # stable two-pass sorts on the integer keys: ties broken by ascending id
+    by_id = sorted(range(len(jobs)), key=lambda i: jobs[i].id)
+    rank = [0] * len(jobs)
+    for idx, i in enumerate(sorted(by_id, key=keys.__getitem__, reverse=True)):
+        rank[i] = idx  # deal in descending order: job i goes to processor rank % m
+    buckets: list[list[str]] = [[] for _ in range(inst.m)]
+    for i in sorted(by_id, key=keys.__getitem__):
+        buckets[rank[i] % inst.m].append(jobs[i].id)
+    return SyncSchedule(tuple(tuple(bucket) for bucket in buckets))
+
+
+def _unit_value(groups: list[list[int]], exponent: int) -> Dyadic:
+    # sum of the groups' makespans: the halving recurrence telescopes, so a
+    # unit-weight order's total overlap is its last start time T_{k+1}
+    shift = max(map(len, groups), default=0)  # makes every halving exact
+    total = 0
+    for group in groups:
+        t = 0
+        for p in group:
+            t = (t + (p << shift)) >> 1
+        total += t
+    return Dyadic(total, exponent + shift)
 
 
 def equal_weights_value(partition: Sequence[Sequence]) -> Dyadic:
     """Unit-weight value of ascending per-processor job lists:
     sum of p_i / 2^(size+1-i) over each list."""
-    total = ZERO
-    for group in partition:
-        times = [item.p if isinstance(item, Job) else as_dyadic(item) for item in group]
-        for a, b in zip(times, times[1:]):
-            if b < a:
-                raise ValueError(f"list not ascending: {a} precedes {b}")
-        size = len(times)
-        for idx, p in enumerate(times, start=1):
-            total = total + p.mul_pow2(-(size + 1 - idx))
-    return total
+    groups = [
+        [item.p if isinstance(item, Job) else as_dyadic(item) for item in group]
+        for group in partition
+    ]
+    ints, exponent = _clear_denominators([p for group in groups for p in group])
+    flat = iter(ints)
+    scaled = [list(islice(flat, len(group))) for group in groups]
+    for group, part in zip(groups, scaled):
+        for idx in range(1, len(part)):
+            if part[idx] < part[idx - 1]:
+                raise ValueError(f"list not ascending: {group[idx - 1]} precedes {group[idx]}")
+    return _unit_value(scaled, exponent)
 
 
 def single_processor_ascending(jobs: Sequence) -> Dyadic:
     """Best single-shared-processor value for unit weights: run jobs in
     ascending order, yielding p_n/2 + p_{n-1}/4 + ... + p_1/2^n."""
-    times = sorted(item.p if isinstance(item, Job) else as_dyadic(item) for item in jobs)
-    return equal_weights_value([times])
+    ints, exponent = _clear_denominators(
+        [item.p if isinstance(item, Job) else as_dyadic(item) for item in jobs]
+    )
+    return _unit_value([sorted(ints)], exponent)
 
 
 def search_backend() -> str:
     """The exhaustive-search backend; always "pure" Python."""
     return "pure"
-
-
-def _scaled_integers(inst: Instance) -> tuple[list[int], list[int], int]:
-    """Clear denominators: integer p and w lists plus the total scaling
-    exponent (value results come back scaled by 2**(n + exponent))."""
-    p_exp = max((job.p.exponent for job in inst.jobs), default=0)
-    w_exp = max((job.w.exponent for job in inst.jobs), default=0)
-    ps = [job.p.mantissa << (p_exp - job.p.exponent) for job in inst.jobs]
-    ws = [job.w.mantissa << (w_exp - job.w.exponent) for job in inst.jobs]
-    return ps, ws, p_exp + w_exp
 
 
 def brute_force(
@@ -171,12 +175,13 @@ def brute_force(
             f"about {order_work + assign_work} candidates exceeds "
             f"max_candidates = {limits.max_candidates}"
         )
-    ps, ws, exponent = _scaled_integers(inst)
+    ps, p_exp = _clear_denominators([job.p for job in inst.jobs])
+    ws, w_exp = _clear_denominators([job.w for job in inst.jobs])
     best_num, _, orders = _permsearch.search(ps, ws, inst.m)
     schedule = SyncSchedule(
         tuple(tuple(inst.jobs[j].id for j in order) for order in orders)
     )
-    return schedule, Dyadic(best_num, n + exponent)
+    return schedule, Dyadic(best_num, n + p_exp + w_exp)
 
 
 def improve_by_exchanges(schedule: SyncSchedule, inst: Instance) -> SyncSchedule:

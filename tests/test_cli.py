@@ -381,3 +381,30 @@ def test_outputs_byte_identical(workdir, capsys):
         '{"id":"z","p":"10","w":"10"}]}',
     )
     assert run(capsys, "brute", v) == run(capsys, "brute", v)
+
+
+TINY_JOB = '{"m":1,"jobs":[{"id":"a","p":"1/2^100000","w":"1"},{"id":"b","p":"3","w":"1"}]}'
+
+
+@pytest.mark.parametrize("command", ["brute", "solve", "eval"])
+def test_value_too_long_to_print_exits_4(workdir, capsys, command):
+    # the value's denominator 2^100001 has over 30000 decimal digits,
+    # past Python's default int-to-str limit of 4300
+    _, write = workdir
+    argv = [command, write("i.json", TINY_JOB)]
+    if command == "eval":
+        argv.append(write("s.json", '{"processors":[{"id":1,"order":["a"]}]}'))
+    code, out, err = run(capsys, *argv)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_unknown_ids_reported_in_processor_order(workdir, capsys):
+    _, write = workdir
+    inst = write("i.json", FIVE_JOBS)
+    sched = write("s.json", '{"processors":[{"id":1,"order":["a","zz","yy"]},{"id":2,"order":["xx"]}]}')
+    for command in ("eval", "gantt", "check"):
+        code, _, err = run(capsys, command, inst, sched)
+        assert code == 2
+        assert "unknown job id 'zz'" in err

@@ -1,5 +1,6 @@
 """Dyadic arithmetic: canonical form, exact laws, parsing."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -138,3 +139,17 @@ def test_mul_pow2_matches_fraction(a, k):
     expected = Fraction(a.mantissa, 1 << a.exponent) * Fraction(2) ** k
     got = a.mul_pow2(k)
     assert Fraction(got.mantissa, 1 << got.exponent) == expected
+
+
+def test_hash_matches_fraction_and_int():
+    modulus = sys.hash_info.modulus
+    mantissas = [0, 1, 2, 3, 5, modulus - 2, modulus - 1, modulus, modulus + 1, modulus + 2]
+    mantissas += [2 * modulus + 1, modulus * modulus + 3, 3**90]
+    for e in range(201):
+        for m in mantissas:
+            for signed in (m, -m):
+                value = Dyadic(signed, e)
+                assert hash(value) == hash(Fraction(signed, 2**e)), (signed, e)
+                if value.is_integer:
+                    assert hash(value) == hash(value.mantissa)
+    assert hash(Dyadic(-1)) == hash(-1) == -2

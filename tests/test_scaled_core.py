@@ -1,0 +1,348 @@
+"""Differential tests for the scaled-integer core.
+
+``start_times``, ``check_feasible``, ``evaluate_sequence``, ``evaluate``,
+``solve_equal_weights``, ``equal_weights_value`` and
+``single_processor_ascending`` run on integers scaled by one power of two
+and build ``Dyadic`` values only for their results.  Each is checked
+against two references: the ``Fraction`` oracle in ``conftest``, and a
+test-local copy of the ``Dyadic``-object code that these functions
+replaced (the ``dyadic_*`` functions below), which must agree on every
+value, every canonical form and every error.
+"""
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from sharedsched.dyadic import ZERO, Dyadic, _clear_denominators
+from sharedsched.engine import (
+    EvalReport,
+    InfeasibleScheduleError,
+    ProcessorEval,
+    SyncSchedule,
+    check_feasible,
+    evaluate,
+    evaluate_sequence,
+    start_times,
+)
+from sharedsched.model import Instance, InstanceError, Job
+from sharedsched.solvers import (
+    equal_weights_value,
+    single_processor_ascending,
+    solve_equal_weights,
+)
+
+from conftest import frac, oracle_start_times, oracle_value
+
+# -- Dyadic-object references ---------------------------------------------------
+
+
+def dyadic_start_times(ps):
+    result = [ZERO]
+    for p in ps:
+        result.append((result[-1] + p).half())
+    return result
+
+
+def dyadic_check_feasible(ps):
+    t = ZERO
+    for i, p in enumerate(ps, start=1):
+        if not p > t:
+            return i
+        t = (t + p).half()
+    return None
+
+
+def dyadic_evaluate_sequence(jobs):
+    t = ZERO
+    total = ZERO
+    for job in jobs:
+        total = total + (job.p - t).half() * job.w
+        t = (t + job.p).half()
+    return total
+
+
+def dyadic_evaluate(schedule, inst):
+    if schedule.m != inst.m:
+        raise InstanceError(f"schedule has {schedule.m} processors, instance has {inst.m}")
+    overlaps = {job.id: ZERO for job in inst.jobs}
+    processors = []
+    total = ZERO
+    for proc_idx, seq in enumerate(schedule.sequences, start=1):
+        jobs = [inst.job(job_id) for job_id in seq]
+        violation = dyadic_check_feasible([job.p for job in jobs])
+        if violation is not None:
+            raise InfeasibleScheduleError(violation, seq[violation - 1], proc_idx)
+        times = dyadic_start_times([job.p for job in jobs])
+        proc_overlaps = []
+        for i, job in enumerate(jobs):
+            bar = (job.p - times[i]).half()
+            proc_overlaps.append(bar)
+            overlaps[job.id] = bar
+            total = total + bar * job.w
+        processors.append(ProcessorEval(proc_idx, tuple(seq), tuple(times), tuple(proc_overlaps)))
+    return EvalReport(tuple(processors), overlaps, total)
+
+
+def dyadic_solve_equal_weights(inst):
+    descending = sorted(sorted(inst.jobs, key=lambda j: j.id), key=lambda j: j.p, reverse=True)
+    buckets = [[] for _ in range(inst.m)]
+    for idx, job in enumerate(descending):
+        buckets[idx % inst.m].append(job)
+    return SyncSchedule(
+        tuple(
+            tuple(job.id for job in sorted(sorted(bucket, key=lambda j: j.id), key=lambda j: j.p))
+            for bucket in buckets
+        )
+    )
+
+
+def dyadic_unit_value(partition):
+    total = ZERO
+    for group in partition:
+        for idx, p in enumerate(group, start=1):
+            total = total + p.mul_pow2(-(len(group) + 1 - idx))
+    return total
+
+
+# -- Fraction-oracle helpers ----------------------------------------------------
+
+
+def oracle_first_violation(ps):
+    for i, (p, t) in enumerate(zip(ps, oracle_start_times(ps)), start=1):
+        if p <= t:
+            return i
+    return None
+
+
+def same(a: Dyadic, b: Dyadic) -> bool:
+    """Equal value and equal canonical representation."""
+    return (a.mantissa, a.exponent) == (b.mantissa, b.exponent)
+
+
+def outcome(fn, *args):
+    """A call's result, or its exception's type, message and location."""
+    try:
+        return "ok", fn(*args)
+    except (InfeasibleScheduleError, InstanceError) as exc:
+        where = (exc.position, exc.job_id, exc.processor) if hasattr(exc, "position") else None
+        return type(exc).__name__, str(exc), where
+
+
+# -- generators -----------------------------------------------------------------
+
+
+def mixed_dyadic(rng: random.Random, max_exp=12) -> Dyadic:
+    """Positive, with an exponent drawn independently of the mantissa."""
+    return Dyadic(rng.randint(1, 1 << rng.choice((3, 10, 40))), rng.randint(0, max_exp))
+
+
+def boundary_jobs(rng: random.Random, k: int) -> list[Job]:
+    """A feasible prefix, then a job with ``p`` exactly its start time
+    (infeasible) or one unit in the last place above it (feasible)."""
+    ps = sorted(mixed_dyadic(rng) for _ in range(k))
+    t = dyadic_start_times(ps)[-1]
+    ulp = Dyadic(1, rng.randint(0, 3) + t.exponent)
+    ps.append(t if rng.random() < 0.5 else t + ulp)
+    if t.sign == 0:
+        ps[-1] = ps[-1] + ulp  # p must stay positive
+    ps.extend(mixed_dyadic(rng) for _ in range(rng.randint(0, 2)))
+    return [Job(f"b{i}", p, mixed_dyadic(rng)) for i, p in enumerate(ps)]
+
+
+def random_case(rng: random.Random):
+    """An instance with mixed p and w exponents plus a schedule that may
+    leave processors empty, leave jobs private and be infeasible."""
+    n = rng.randint(0, 9)
+    m = rng.randint(1, 4)
+    jobs = [Job(f"j{i}", mixed_dyadic(rng), mixed_dyadic(rng)) for i in range(n)]
+    if n and rng.random() < 0.3:
+        jobs = boundary_jobs(rng, rng.randint(0, 4))
+    sequences = [[] for _ in range(m)]
+    for job in jobs:
+        slot = rng.randint(0, m)  # 0 = private only
+        if slot:
+            sequences[slot - 1].append(job)
+    if rng.random() < 0.6:  # ascending orders are always feasible
+        for seq in sequences:
+            seq.sort(key=lambda j: j.p)
+    elif rng.random() < 0.5:
+        for seq in sequences:
+            rng.shuffle(seq)
+    inst = Instance(tuple(jobs), m)
+    return inst, SyncSchedule(tuple(tuple(job.id for job in seq) for seq in sequences))
+
+
+CASES = [random_case(random.Random(seed)) for seed in range(400)]
+
+
+# -- engine -----------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("start", range(0, len(CASES), 50))
+def test_evaluate_matches_dyadic_recurrence(start):
+    for inst, schedule in CASES[start : start + 50]:
+        new, old = outcome(evaluate, schedule, inst), outcome(dyadic_evaluate, schedule, inst)
+        if old[0] != "ok":
+            assert new == old
+            continue
+        assert new[0] == "ok"
+        report, expected = new[1], old[1]
+        assert report == expected  # processors (start times, overlaps) and total
+        assert list(report.job_overlaps.items()) == list(expected.job_overlaps.items())
+        for got, want in zip(report.processors, expected.processors):
+            assert all(map(same, got.start_times, want.start_times))
+            assert all(map(same, got.overlaps, want.overlaps))
+        assert same(report.total, expected.total)
+
+
+def test_evaluate_matches_fraction_oracle():
+    infeasible = 0
+    for inst, schedule in CASES:
+        try:
+            report = evaluate(schedule, inst)
+        except InfeasibleScheduleError as exc:
+            infeasible += 1
+            for proc, seq in enumerate(schedule.sequences, start=1):
+                ps = [frac(inst.job(j).p) for j in seq]
+                bad = oracle_first_violation(ps)
+                if proc < exc.processor:
+                    assert bad is None
+                else:
+                    assert (proc, bad) == (exc.processor, exc.position)
+                    assert exc.job_id == seq[bad - 1]
+                    break
+            continue
+        expected_total = Fraction(0)
+        for proc, seq in zip(report.processors, schedule.sequences):
+            pairs = [(frac(inst.job(j).p), frac(inst.job(j).w)) for j in seq]
+            expected_total += oracle_value(pairs)
+            times = oracle_start_times([p for p, _ in pairs])
+            assert [frac(t) for t in proc.start_times] == times
+            assert [frac(b) for b in proc.overlaps] == [(p - t) / 2 for (p, _), t in zip(pairs, times)]
+        assert frac(report.total) == expected_total
+    assert 20 < infeasible < len(CASES) - 100  # both outcomes are exercised
+
+
+def test_sequence_functions_match_both_references():
+    rng = random.Random(7)
+    for trial in range(600):
+        if trial % 3 == 0:
+            jobs = boundary_jobs(rng, rng.randint(0, 5))
+        else:
+            jobs = [Job(f"j{i}", mixed_dyadic(rng), mixed_dyadic(rng)) for i in range(rng.randint(0, 8))]
+        ps = [job.p for job in jobs]
+        fps = [frac(p) for p in ps]
+        times = start_times(jobs)
+        assert all(map(same, times, dyadic_start_times(ps)))
+        assert [frac(t) for t in times] == oracle_start_times(fps)
+        assert check_feasible(jobs) == dyadic_check_feasible(ps) == oracle_first_violation(fps)
+        value = evaluate_sequence(jobs)
+        assert same(value, dyadic_evaluate_sequence(jobs))
+        assert frac(value) == oracle_value([(frac(job.p), frac(job.w)) for job in jobs])
+
+
+def test_boundary_p_equal_to_start_time():
+    # T_2 = 2 after a job of length 4: p = 2 is infeasible, p = 2 + 2^-30 is not
+    assert check_feasible([4, 2]) == 2
+    assert check_feasible([4, Dyadic(2**31 + 1, 30)]) is None
+    inst = Instance((Job("a", 4, 1), Job("b", 2, 1), Job("c", Dyadic(5, 1), 3)), 2)
+    with pytest.raises(InfeasibleScheduleError) as exc:
+        evaluate(SyncSchedule((("c",), ("a", "b"))), inst)
+    assert (exc.value.processor, exc.value.position, exc.value.job_id) == (2, 2, "b")
+    assert str(exc.value) == str(outcome(dyadic_evaluate, SyncSchedule((("c",), ("a", "b"))), inst)[1])
+
+
+def test_errors_raised_in_processor_order():
+    inst = Instance((Job("a", 4, 1), Job("b", 2, 1), Job("c", 1, 1)), 2)
+    for sequences in (
+        (("a", "b"), ("zz",)),  # infeasible on processor 1 before the unknown id
+        (("zz",), ("a", "b")),  # unknown id on processor 1 first
+    ):
+        schedule = SyncSchedule(sequences)
+        new, old = outcome(evaluate, schedule, inst), outcome(dyadic_evaluate, schedule, inst)
+        assert new == old and new[0] != "ok"
+    schedule = SyncSchedule((("a",),))
+    assert outcome(evaluate, schedule, inst) == outcome(dyadic_evaluate, schedule, inst)
+
+
+def test_empty_inputs():
+    assert start_times([]) == [ZERO]
+    assert check_feasible([]) is None
+    assert same(evaluate_sequence([]), ZERO)
+    for inst in (Instance((), 3), Instance((Job("a", Dyadic(3, 5), Dyadic(1, 9)),), 2)):
+        schedule = SyncSchedule(((),) * inst.m)
+        report = evaluate(schedule, inst)
+        assert report == dyadic_evaluate(schedule, inst)
+        assert same(report.total, ZERO)
+        assert all(proc.start_times == (ZERO,) and proc.overlaps == () for proc in report.processors)
+    assert solve_equal_weights(Instance((), 2)) == SyncSchedule(((), ()))
+    assert same(equal_weights_value([]), ZERO)
+    assert same(equal_weights_value([[], []]), ZERO)
+    assert same(single_processor_ascending([]), ZERO)
+
+
+def test_clear_denominators():
+    assert _clear_denominators([]) == ([], 0)
+    values = [Dyadic(3, 2), Dyadic(5), Dyadic(-7, 5), ZERO]
+    ints, e = _clear_denominators(values)
+    assert e == 5
+    assert [Fraction(i, 2**e) for i in ints] == [frac(v) for v in values]
+
+
+# -- equal-weight solver ---------------------------------------------------------
+
+
+def tie_heavy_instance(rng: random.Random) -> Instance:
+    n = rng.randint(0, 40)
+    pool = [mixed_dyadic(rng, max_exp=4) for _ in range(rng.randint(1, 4))]
+    ids = [f"j{i}" for i in range(n)]
+    rng.shuffle(ids)  # ids out of instance order, and "j10" < "j9" as strings
+    w = mixed_dyadic(rng)
+    return Instance(tuple(Job(job_id, rng.choice(pool), w) for job_id in ids), rng.randint(1, 6))
+
+
+def test_solve_equal_weights_matches_dyadic_sort():
+    rng = random.Random(11)
+    for _ in range(300):
+        inst = tie_heavy_instance(rng)
+        schedule = solve_equal_weights(inst)
+        assert schedule == dyadic_solve_equal_weights(inst)
+        report = evaluate(schedule, inst)
+        # equal weights: the value is w times the sum of the makespans
+        w = frac(inst.jobs[0].w) if inst.jobs else Fraction(0)
+        makespans = sum(
+            (oracle_start_times([frac(inst.job(j).p) for j in seq])[-1] for seq in schedule.sequences),
+            Fraction(0),
+        )
+        assert frac(report.total) == w * makespans
+
+
+def test_solve_equal_weights_ties_by_ascending_id():
+    inst = Instance(tuple(Job(job_id, 5, 1) for job_id in ("d", "b", "e", "a", "c")), 2)
+    # descending p with ties by id deals a, c, e to processor 1 and b, d to 2
+    assert solve_equal_weights(inst).sequences == (("a", "c", "e"), ("b", "d"))
+
+
+def test_unit_values_match_both_references():
+    rng = random.Random(5)
+    for _ in range(300):
+        partition = [
+            sorted(mixed_dyadic(rng) for _ in range(rng.randint(0, 6)))
+            for _ in range(rng.randint(0, 4))
+        ]
+        value = equal_weights_value(partition)
+        assert same(value, dyadic_unit_value(partition))
+        assert frac(value) == sum(
+            (oracle_value([(frac(p), 1) for p in group]) for group in partition), Fraction(0)
+        )
+        flat = [p for group in partition for p in group]
+        rng.shuffle(flat)
+        best = single_processor_ascending(flat)
+        assert same(best, dyadic_unit_value([sorted(flat)]))
+
+
+def test_equal_weights_value_rejects_descending_lists():
+    with pytest.raises(ValueError, match=r"list not ascending: 3/4 precedes 1/2"):
+        equal_weights_value([[Dyadic(1, 2)], [Dyadic(3, 2), Dyadic(1, 1)]])
