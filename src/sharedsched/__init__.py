@@ -7,80 +7,63 @@ The package evaluates, validates, canonicalizes and optimizes such
 schedules in exact dyadic-rational arithmetic: no floats anywhere.
 """
 
-from .dyadic import Dyadic, as_dyadic
-from .engine import (
-    EvalReport,
-    InfeasibleScheduleError,
-    SyncSchedule,
-    check_feasible,
-    evaluate,
-    evaluate_matrix,
-    evaluate_sequence,
-    exchange_delta,
-    is_processing_time_inclusive,
-    is_v_shaped,
-    is_weight_inclusive,
-    parse_sync_schedule,
-    reverse_dual,
-    serialize_sync_schedule,
-    start_times,
-    suffix_weight,
-)
-from .model import Instance, InstanceError, Job, parse_instance, serialize_instance
-from .solvers import (
-    SearchLimits,
-    brute_force,
-    improve_by_exchanges,
-    search_backend,
-    solve_equal_weights,
-)
-from .transforms import (
-    GeneralSchedule,
-    JobPlacement,
-    parse_general_schedule,
-    serialize_general_schedule,
-    synchronize,
-    synchronize_detailed,
-    value_general,
-)
+import importlib
+
+# public name -> submodule defining it; resolved on first access (PEP 562),
+# so a process imports only the modules it uses
+_EXPORTS = {
+    "Dyadic": "dyadic",
+    "as_dyadic": "dyadic",
+    "Job": "model",
+    "Instance": "model",
+    "InstanceError": "model",
+    "parse_instance": "model",
+    "serialize_instance": "model",
+    "SyncSchedule": "engine",
+    "EvalReport": "engine",
+    "InfeasibleScheduleError": "engine",
+    "start_times": "engine",
+    "check_feasible": "engine",
+    "evaluate": "engine",
+    "evaluate_sequence": "engine",
+    "evaluate_matrix": "engine",
+    "suffix_weight": "engine",
+    "exchange_delta": "engine",
+    "is_processing_time_inclusive": "engine",
+    "is_weight_inclusive": "engine",
+    "is_v_shaped": "engine",
+    "reverse_dual": "engine",
+    "parse_sync_schedule": "engine",
+    "serialize_sync_schedule": "engine",
+    "GeneralSchedule": "transforms",
+    "JobPlacement": "transforms",
+    "value_general": "transforms",
+    "synchronize": "transforms",
+    "synchronize_detailed": "transforms",
+    "parse_general_schedule": "transforms",
+    "serialize_general_schedule": "transforms",
+    "SearchLimits": "solvers",
+    "brute_force": "solvers",
+    "solve_equal_weights": "solvers",
+    "improve_by_exchanges": "solvers",
+    "search_backend": "solvers",
+}
+
+
+def __getattr__(name: str):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_EXPORTS))
+
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Dyadic",
-    "as_dyadic",
-    "Job",
-    "Instance",
-    "InstanceError",
-    "parse_instance",
-    "serialize_instance",
-    "SyncSchedule",
-    "EvalReport",
-    "InfeasibleScheduleError",
-    "start_times",
-    "check_feasible",
-    "evaluate",
-    "evaluate_sequence",
-    "evaluate_matrix",
-    "suffix_weight",
-    "exchange_delta",
-    "is_processing_time_inclusive",
-    "is_weight_inclusive",
-    "is_v_shaped",
-    "reverse_dual",
-    "parse_sync_schedule",
-    "serialize_sync_schedule",
-    "GeneralSchedule",
-    "JobPlacement",
-    "value_general",
-    "synchronize",
-    "synchronize_detailed",
-    "parse_general_schedule",
-    "serialize_general_schedule",
-    "SearchLimits",
-    "brute_force",
-    "solve_equal_weights",
-    "improve_by_exchanges",
-    "search_backend",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -24,9 +24,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import engine, hardness, solvers, transforms
+from . import engine
 from .dyadic import Dyadic
-from .model import Instance, InstanceError, parse_instance, serialize_instance
+from .model import Instance, InstanceError, _load_json, parse_instance, serialize_instance
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -85,7 +85,13 @@ def _report_json(report: engine.EvalReport) -> dict:
     }
 
 
+# Commands import solvers, transforms and hardness only when they use them,
+# so each process loads (and compiles) just the modules its command needs.
+
+
 def _cmd_solve(args) -> int:
+    from . import solvers
+
     inst = _load_instance(args.instance)
     schedule = solvers.solve_equal_weights(inst)
     report = engine.evaluate(schedule, inst)
@@ -94,6 +100,8 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_brute(args) -> int:
+    from . import solvers
+
     inst = _load_instance(args.instance)
     limits = solvers.SearchLimits(max_jobs=args.max_jobs)
     schedule, value = solvers.brute_force(inst, limits)
@@ -110,6 +118,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_transform(args) -> int:
+    from . import transforms
+
     inst = _load_instance(args.instance)
     general = transforms.parse_general_schedule(_read(args.schedule))
     report = transforms.synchronize_detailed(general, inst)
@@ -137,12 +147,11 @@ def _sync_schedule(text: str, inst: Instance) -> engine.SyncSchedule:
 def _sequences_for_check(text: str, inst: Instance):
     """Either schedule format, reduced to per-processor job-id orders
     plus (for the general format) the parsed schedule itself."""
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"malformed JSON: {exc}") from exc
+    data = _load_json(text)
     if isinstance(data, dict) and "processors" in data:
         return _sync_schedule(text, inst).sequences, None
+    from . import transforms
+
     general = transforms.parse_general_schedule(text)
     violations = transforms.validate(general, inst)
     if violations:
@@ -172,6 +181,8 @@ def _cmd_check(args) -> int:
                     failures.append(f"processor {proc}: order {list(seq)} is not V-shaped")
         elif name in ("ordered", "synchronized"):
             if general is not None:
+                from . import transforms
+
                 holds = transforms.is_ordered if name == "ordered" else transforms.is_synchronized
                 if not holds(general):
                     failures.append(f"schedule is not {name}")
@@ -192,6 +203,8 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_gen_n3dm(args) -> int:
+    from . import hardness
+
     inp = hardness.parse_n3dm(_read(args.n3dm))
     hi = hardness.gen_instance(inp)
     instance_json = serialize_instance(hi.instance)
@@ -218,6 +231,8 @@ def _cmd_gen_n3dm(args) -> int:
 
 
 def _cmd_decide_n3dm(args) -> int:
+    from . import hardness
+
     inp = hardness.parse_n3dm(_read(args.n3dm))
     solvable, witness = hardness.decide(inp)
     _emit(
@@ -344,25 +359,42 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# (module, exception class, exit code), tried in order
+_EXIT_CODES = (
+    ("model", "InstanceError", EXIT_PARSE),
+    ("solvers", "UnequalWeightsError", EXIT_WRONG_SOLVER),
+    ("solvers", "InstanceTooLargeError", EXIT_TOO_LARGE),
+    ("engine", "InfeasibleScheduleError", EXIT_INFEASIBLE),
+    ("transforms", "InvalidScheduleError", EXIT_INFEASIBLE),
+    ("transforms", "PreconditionError", EXIT_INFEASIBLE),
+)
+
+
+def _exit_code(exc: Exception) -> int | None:
+    """The documented exit code for an error, or None for an unexpected one.
+
+    Classes are looked up in ``sys.modules`` only: a module never imported
+    cannot have raised, and importing it here would cost every command.
+    """
+    if isinstance(exc, OutputTooLargeError):
+        return EXIT_TOO_LARGE
+    for module, name, code in _EXIT_CODES:
+        cls = getattr(sys.modules.get(f"{__package__}.{module}"), name, None)
+        if cls is not None and isinstance(exc, cls):
+            return code
+    return None
+
+
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except InstanceError as exc:
+    except Exception as exc:
+        code = _exit_code(exc)
+        if code is None:
+            raise
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except solvers.UnequalWeightsError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_WRONG_SOLVER
-    except (solvers.InstanceTooLargeError, OutputTooLargeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_TOO_LARGE
-    except engine.InfeasibleScheduleError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
-    except (transforms.InvalidScheduleError, transforms.PreconditionError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INFEASIBLE
+        return code
 
 
 if __name__ == "__main__":

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .dyadic import ZERO, Dyadic, _clear_denominators, as_dyadic
-from .model import Instance, InstanceError, Job
+from .model import Instance, InstanceError, Job, _load_json
 
 __all__ = [
     "SyncSchedule",
@@ -345,12 +345,7 @@ def parse_sync_schedule(text: bytes | str, m: int) -> SyncSchedule:
 
     Processors absent from the list are empty; ids must lie in 1..m.
     """
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"malformed JSON: {exc}") from exc
+    data = _load_json(text)
     if not isinstance(data, dict) or "processors" not in data:
         raise InstanceError('schedule must be an object with key "processors"')
     raw = data["processors"]

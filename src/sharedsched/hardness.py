@@ -35,7 +35,7 @@ from typing import Mapping, Sequence
 
 from .dyadic import Dyadic, ZERO
 from .engine import SyncSchedule, evaluate
-from .model import Instance, InstanceError, Job
+from .model import Instance, InstanceError, Job, _load_json
 from .solvers import InstanceTooLargeError
 
 __all__ = [
@@ -254,12 +254,7 @@ def equitable_diagnostic(hi: HardInstance, matching: Sequence[Sequence[int]]) ->
 
 def parse_n3dm(text: bytes | str) -> N3DMInput:
     """Parse ``{"X": [...], "Y": [...], "Z": [...], "b": <int>}``."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"malformed JSON: {exc}") from exc
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise InstanceError("matching input must be a JSON object")
     missing = {"X", "Y", "Z", "b"} - set(data)

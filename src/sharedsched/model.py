@@ -36,6 +36,21 @@ class InstanceError(ValueError):
     """Malformed or invalid instance data."""
 
 
+def _load_json(text: bytes | str):
+    """Decode JSON input; any failure to read it is an :class:`InstanceError`.
+
+    Past ``JSONDecodeError`` this covers a ``ValueError`` for an integer
+    literal longer than Python's int-from-str digit limit and a
+    ``RecursionError`` for arrays or objects nested too deeply.
+    """
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise InstanceError(f"malformed JSON: {exc}") from exc
+
+
 def json_to_dyadic(value, what: str) -> Dyadic:
     """Convert a JSON scalar to a Dyadic, rejecting floats and bad literals."""
     if isinstance(value, bool) or isinstance(value, float):
@@ -104,12 +119,7 @@ class Instance:
 
 def parse_instance(text: bytes | str) -> Instance:
     """Parse and validate the JSON instance format."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"malformed JSON: {exc}") from exc
+    data = _load_json(text)
     if not isinstance(data, dict):
         raise InstanceError("instance must be a JSON object")
     unknown = set(data) - {"m", "jobs"}

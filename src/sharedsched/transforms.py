@@ -25,17 +25,23 @@ shared job finishes on both of its processors at the same instant:
 ``pull`` and ``push`` are the two elementary rebalancing moves; each
 trades work between a job's shared and private processors and ripples a
 geometrically decaying correction through the jobs behind it.
+
+All of it runs on the scaled-integer core: times become integers over one
+power of two, each processor's chunk list stays in start order as moves
+update it, and a halving first refines the whole grid by the digits it
+needs.  ``Dyadic`` values are built only where results and messages leave.
 """
 
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Mapping
 
-from .dyadic import ZERO, Dyadic, as_dyadic
+from .dyadic import ZERO, Dyadic, _clear_denominators, as_dyadic
 from .engine import SyncSchedule, evaluate
-from .model import Instance, InstanceError, json_to_dyadic
+from .model import Instance, InstanceError, _load_json, json_to_dyadic
 
 __all__ = [
     "JobPlacement",
@@ -128,134 +134,181 @@ class GeneralSchedule:
         return chunks
 
 
-# -- internal mutable working state --------------------------------------------
-#
-# state: {job_id: [processor | None, [(start, end), ...] sorted, private_completion]}
+# -- the integer grid --------------------------------------------------------------
 
 
-def _to_state(g: GeneralSchedule) -> dict:
-    return {
-        job_id: [p.processor, list(p.intervals), p.private_completion]
-        for job_id, p in g.placements.items()
-    }
+class _Grid:
+    """A schedule's mutable working state on one integer time grid.
+
+    Every time is an int over ``2**scale``.  ``chunks`` maps each processor
+    (``None`` for intervals without one) to its ``[start, end, job_id]``
+    lists in (start, end, id) order, which the passes keep rather than
+    re-sort; ``private`` maps each job to its private completion, and
+    ``procs`` to its processor as given (dropped on output once it has no chunks).
+    """
+
+    __slots__ = ("scale", "chunks", "private", "procs")
+
+    def __init__(self, g: GeneralSchedule):
+        placements = g.placements
+        times, self.scale = _clear_denominators(
+            [t for p in placements.values() for interval in p.intervals for t in interval]
+            + [p.private_completion for p in placements.values()]
+        )
+        it = iter(times)
+        self.chunks: dict = {}
+        for job_id, p in placements.items():
+            for _ in p.intervals:
+                self.chunks.setdefault(p.processor, []).append([next(it), next(it), job_id])
+        for chunks in self.chunks.values():
+            chunks.sort()
+        self.private = {job_id: next(it) for job_id in placements}
+        self.procs = {job_id: p.processor for job_id, p in placements.items()}
+
+    def shift(self, h: int) -> None:
+        """Refine the grid by ``h`` binary digits (none when ``h <= 0``)."""
+        if h > 0:
+            self.scale += h
+            for chunks in self.chunks.values():
+                for chunk in chunks:
+                    chunk[0] <<= h
+                    chunk[1] <<= h
+            for job_id, c in self.private.items():
+                self.private[job_id] = c << h
+
+    def lists(self) -> list[list]:
+        """The chunk list of each processor, by processor id."""
+        return [self.chunks[p] for p in sorted(p for p in self.chunks if p is not None)]
+
+    def schedule(self) -> GeneralSchedule:
+        s, procs, c = self.scale, self.procs, self.private
+        spans: dict[str, list] = {job_id: [] for job_id in c}
+        for chunks in self.chunks.values():
+            for a, b, job_id in chunks:
+                spans[job_id].append((Dyadic(a, s), Dyadic(b, s)))
+        return GeneralSchedule(
+            {j: JobPlacement(procs[j] if v else None, v, Dyadic(c[j], s)) for j, v in spans.items()}
+        )
 
 
-def _from_state(state: dict) -> GeneralSchedule:
-    placements = {}
-    for job_id, (proc, intervals, private) in state.items():
-        kept = tuple((a, b) for a, b in sorted(intervals) if a < b)
-        placements[job_id] = JobPlacement(proc if kept else None, kept, private)
-    return GeneralSchedule(placements)
+def _weights(grid: _Grid, inst: Instance) -> tuple[dict, int]:
+    ws, exponent = _clear_denominators([inst.job(job_id).w for job_id in grid.private])
+    return dict(zip(grid.private, ws)), exponent
 
 
-def _state_chunks(state: dict, proc: int) -> list[list]:
-    chunks = [
-        [a, b, job_id]
-        for job_id, (p, intervals, _) in state.items()
-        if p == proc
-        for a, b in intervals
-    ]
-    chunks.sort(key=lambda c: (c[0], c[1], c[2]))
-    return chunks
+def _value(grid: _Grid, weights: tuple[dict, int]) -> Dyadic:
+    w, exponent = weights
+    private = grid.private
+    total = 0
+    for chunks in grid.chunks.values():
+        for a, b, job_id in chunks:
+            hi = min(b, private[job_id])
+            if a < hi:
+                total += (hi - a) * w[job_id]
+    return Dyadic(total, grid.scale + exponent)
 
 
-def _state_procs(state: dict) -> list[int]:
-    return sorted({p for p, _, _ in state.values() if p is not None})
+def _last_ends(grid: _Grid) -> dict[str, int]:
+    """Each job's shared completion: the end of its last chunk."""
+    return {job_id: b for chunks in grid.chunks.values() for _, b, job_id in chunks}
 
 
-def _set_chunks(state: dict, proc: int, chunks: Iterable) -> None:
-    """Replace every interval on a processor from a chunk list."""
-    by_job: dict[str, list] = {}
-    for a, b, job_id in chunks:
-        if a < b:
-            by_job.setdefault(job_id, []).append((a, b))
-    for job_id, entry in state.items():
-        if entry[0] == proc:
-            entry[1] = sorted(by_job.pop(job_id, []))
-            if not entry[1]:
-                entry[0] = None
-    for job_id, intervals in by_job.items():
-        state[job_id][0] = proc
-        state[job_id][1] = sorted(intervals)
+def _normal(grid: _Grid) -> bool:
+    return all(b <= grid.private[job_id] for job_id, b in _last_ends(grid).items())
 
 
-def _positions(state: dict, proc: int) -> list[str]:
-    return [job_id for _, _, job_id in _state_chunks(state, proc)]
+def _non_preemptive(grid: _Grid) -> bool:
+    ids = [job_id for chunks in grid.chunks.values() for _, _, job_id in chunks]
+    return len(ids) == len(set(ids))
+
+
+def _ordered(grid: _Grid) -> bool:
+    c = grid.private
+    pairs = [pair for chunks in grid.lists() for pair in zip(chunks, chunks[1:])]
+    return _normal(grid) and _non_preemptive(grid) and all(c[x[2]] <= c[y[2]] for x, y in pairs)
 
 
 # -- validation ------------------------------------------------------------------
 
 
-def _structure_violations(g: GeneralSchedule, inst: Instance | None = None) -> list[str]:
+def _violations(grid: _Grid, inst: Instance | None = None) -> list[str]:
+    def t(x: int) -> Dyadic:  # the time a grid integer stands for
+        return Dyadic(x, grid.scale)
+
     out = []
-    ids = set(g.placements)
+    ids = set(grid.private)
     if inst is not None:
         inst_ids = {job.id for job in inst.jobs}
-        for missing in sorted(inst_ids - ids):
-            out.append(f"job {missing!r}: no placement")
-        for extra in sorted(ids - inst_ids):
-            out.append(f"job {extra!r}: not in instance")
+        out += [f"job {missing!r}: no placement" for missing in sorted(inst_ids - ids)]
+        out += [f"job {extra!r}: not in instance" for extra in sorted(ids - inst_ids)]
+    intervals: dict[str, list] = {job_id: [] for job_id in ids}
+    for chunks in grid.chunks.values():
+        for a, b, job_id in chunks:
+            intervals[job_id].append((a, b))
     for job_id in sorted(ids):
-        p = g.placements[job_id]
-        if p.private_completion.sign < 0:
+        proc, private = grid.procs[job_id], grid.private[job_id]
+        if private < 0:
             out.append(f"job {job_id!r}: private completion < 0")
-        if p.processor is None and p.intervals:
+        if proc is None and intervals[job_id]:
             out.append(f"job {job_id!r}: shared intervals without a processor")
-        if p.processor is not None:
-            if p.processor < 1:
-                out.append(f"job {job_id!r}: processor {p.processor} < 1")
-            elif inst is not None and p.processor > inst.m:
-                out.append(f"job {job_id!r}: processor {p.processor} > m = {inst.m}")
+        if proc is not None:
+            if proc < 1:
+                out.append(f"job {job_id!r}: processor {proc} < 1")
+            elif inst is not None and proc > inst.m:
+                out.append(f"job {job_id!r}: processor {proc} > m = {inst.m}")
         prev_end = None
-        for a, b in p.intervals:
-            if a.sign < 0:
-                out.append(f"job {job_id!r}: interval ({a}, {b}) starts before 0")
+        for a, b in intervals[job_id]:
+            if a < 0:
+                out.append(f"job {job_id!r}: interval ({t(a)}, {t(b)}) starts before 0")
             if not a < b:
-                out.append(f"job {job_id!r}: empty or reversed interval ({a}, {b})")
+                out.append(f"job {job_id!r}: empty or reversed interval ({t(a)}, {t(b)})")
             if prev_end is not None and a < prev_end:
-                out.append(f"job {job_id!r}: overlapping own intervals at {a}")
+                out.append(f"job {job_id!r}: overlapping own intervals at {t(a)}")
             prev_end = b
         if inst is not None and inst.has_job(job_id):
-            total = p.shared_length + p.private_completion
+            total = private + sum(b - a for a, b in intervals[job_id])
             expected = inst.job(job_id).p
-            if total != expected:
+            if total << expected.exponent != expected.mantissa << grid.scale:
                 out.append(
-                    f"job {job_id!r}: length mismatch (intervals sum to {total}, p = {expected})"
+                    f"job {job_id!r}: length mismatch (intervals sum to {t(total)}, p = {expected})"
                 )
-    for proc in g.processors():
-        chunks = g.chunks_on(proc)
+    for proc in sorted(p for p in grid.chunks if p is not None):
+        chunks = grid.chunks[proc]
         for (a1, b1, j1), (a2, b2, j2) in zip(chunks, chunks[1:]):
             if a2 < b1:
                 out.append(
-                    f"processor {proc}: jobs {j1!r} and {j2!r} overlap in ({a2}, {min(b1, b2)})"
+                    f"processor {proc}: jobs {j1!r} and {j2!r} overlap in "
+                    f"({t(a2)}, {t(min(b1, b2))})"
                 )
     return out
 
 
 def validate(g: GeneralSchedule, inst: Instance) -> list[str]:
     """All invariant violations, each naming the job/processor/interval."""
-    return _structure_violations(g, inst)
+    return _violations(_Grid(g), inst)
 
 
-def _require_valid(g: GeneralSchedule, inst: Instance | None = None) -> None:
-    violations = _structure_violations(g, inst)
+def _require(grid: _Grid, inst: Instance | None = None) -> None:
+    violations = _violations(grid, inst)
     if violations:
         raise InvalidScheduleError(violations)
+
+
+def _enter(grid: _Grid, name: str, needs: tuple[str, ...]) -> None:
+    """A pass's entry checks: a valid schedule with each property needed."""
+    _require(grid)
+    for need in needs:
+        holds = _normal if need == "normal" else _non_preemptive
+        if not holds(grid):
+            raise PreconditionError(f"{name} requires a {need} schedule")
 
 
 def value_general(g: GeneralSchedule, inst: Instance) -> Dyadic:
     """Total weighted overlap: per job, the measure of its shared
     intervals intersected with its private span ``(0, c)``."""
-    _require_valid(g, inst)
-    total = ZERO
-    for job_id, p in g.placements.items():
-        cutoff = p.private_completion
-        w = inst.job(job_id).w
-        for a, b in p.intervals:
-            hi = b if b < cutoff else cutoff
-            if a < hi:
-                total = total + (hi - a) * w
-    return total
+    grid = _Grid(g)
+    _require(grid, inst)
+    return _value(grid, _weights(grid, inst))
 
 
 # -- predicates -------------------------------------------------------------------
@@ -263,17 +316,14 @@ def value_general(g: GeneralSchedule, inst: Instance) -> Dyadic:
 
 def is_normal(g: GeneralSchedule) -> bool:
     """Every job finishes on the shared processor no later than privately."""
-    return all(
-        not p.intervals or p.shared_completion <= p.private_completion
-        for p in g.placements.values()
-    )
+    return _normal(_Grid(g))
 
 
 def is_gap_free(g: GeneralSchedule) -> bool:
     """No idle time on any shared processor before its last completion."""
-    for proc in g.processors():
-        cursor = ZERO
-        for a, b, _ in g.chunks_on(proc):
+    for chunks in _Grid(g).lists():
+        cursor = 0
+        for a, b, _ in chunks:
             if a != cursor:
                 return False
             cursor = b
@@ -281,58 +331,122 @@ def is_gap_free(g: GeneralSchedule) -> bool:
 
 
 def is_non_preemptive(g: GeneralSchedule) -> bool:
-    return all(len(p.intervals) <= 1 for p in g.placements.values())
+    return _non_preemptive(_Grid(g))
 
 
 def is_ordered(g: GeneralSchedule) -> bool:
     """Normal, non-preemptive, and on each processor the private
     completions are non-decreasing along the shared order (the workable
     reading of "both completion orders agree" once ties are allowed)."""
-    if not (is_normal(g) and is_non_preemptive(g)):
-        return False
-    for proc in g.processors():
-        chunks = g.chunks_on(proc)
-        for (_, _, j1), (_, _, j2) in zip(chunks, chunks[1:]):
-            if g.placements[j1].private_completion > g.placements[j2].private_completion:
-                return False
-    return True
+    return _ordered(_Grid(g))
 
 
 def is_synchronized(g: GeneralSchedule) -> bool:
     """Normal, non-preemptive, and every shared job finishes on both
     processors at the same instant."""
-    if not (is_normal(g) and is_non_preemptive(g)):
-        return False
-    return all(
-        not p.intervals or p.shared_completion == p.private_completion
-        for p in g.placements.values()
-    )
+    grid = _Grid(g)
+    synced = all(b == grid.private[job_id] for job_id, b in _last_ends(grid).items())
+    return synced and _normal(grid) and _non_preemptive(grid)
 
 
 # -- pipeline passes ---------------------------------------------------------------
+
+
+def _normalize(grid: _Grid) -> None:
+    private = grid.private
+    cutoff = dict(private)
+    for chunks in grid.chunks.values():
+        kept = []
+        for chunk in chunks:
+            a, b, job_id = chunk
+            if b > cutoff[job_id]:  # the part past the cutoff moves to the private processor
+                private[job_id] += b - max(a, cutoff[job_id])
+                chunk[1] = cutoff[job_id]
+            if chunk[0] < chunk[1]:
+                kept.append(chunk)
+        chunks[:] = kept
+
+
+def _compact_idle(grid: _Grid) -> None:
+    private = grid.private
+    for chunks in grid.lists():
+        t = len(chunks) - 1
+        while chunks:
+            # the last hole precedes chunk t; none can open past the one just filled
+            t = min(t + 1, len(chunks) - 1)
+            while t >= 0 and not (chunks[t - 1][1] if t else 0) < chunks[t][0]:
+                t -= 1
+            if t < 0:
+                break
+            lo, hi = (chunks[t - 1][1] if t else 0), chunks[t][0]
+            if (hi - lo) & 1:
+                grid.shift(1)  # the hole's half needs one more binary digit
+                continue
+            last = chunks[-1]
+            eps = min((hi - lo) >> 1, last[1] - last[0])
+            last[1] -= eps
+            private[last[2]] -= eps
+            chunks.insert(t, [lo, lo + 2 * eps, last[2]])
+            if last[0] == last[1]:
+                chunks.pop()
+
+
+def _merge_preemptions(grid: _Grid) -> None:
+    for chunks in grid.lists():
+        count = Counter(job_id for _, _, job_id in chunks)
+        t = 0
+        while True:
+            # the preempted job whose first interval starts earliest
+            while t < len(chunks) and count[chunks[t][2]] < 2:
+                t += 1
+            if t == len(chunks):
+                break
+            l, r, job_id = chunks[t]
+            shift = r - l
+            k = t + 1
+            while chunks[k][2] != job_id:
+                chunks[k][0] -= shift
+                chunks[k][1] -= shift
+                k += 1
+            chunks[k][0] -= shift  # the first piece, reattached before the second
+            del chunks[t]
+            count[job_id] -= 1
+
+
+def _reorder(grid: _Grid) -> None:
+    # adjacent swaps keep every idle gap between slots and end in the
+    # stable sort by private completion, so lay that order out directly
+    private = grid.private
+    for chunks in grid.lists():
+        laid: list[list] = []
+        for t, (a, b, job_id) in enumerate(sorted(chunks, key=lambda c: private[c[2]])):
+            start = chunks[0][0] if t == 0 else laid[-1][1] + chunks[t][0] - chunks[t - 1][1]
+            laid.append([start, start + b - a, job_id])
+        chunks[:] = laid
+
+
+# name -> (pass, properties its entry check requires)
+_PASSES = {
+    "normalize": (_normalize, ()),
+    "compact_idle": (_compact_idle, ("normal",)),
+    "merge_preemptions": (_merge_preemptions, ("normal",)),
+    "reorder": (_reorder, ("normal", "non-preemptive")),
+}
+
+
+def _run_pass(g: GeneralSchedule, name: str) -> GeneralSchedule:
+    run, needs = _PASSES[name]
+    grid = _Grid(g)
+    _enter(grid, name, needs)
+    run(grid)
+    return grid.schedule()
 
 
 def normalize(g: GeneralSchedule) -> GeneralSchedule:
     """Move shared work past each job's private completion onto the
     private processor, extending it; the value is unchanged because the
     removed pieces never overlapped the private span."""
-    _require_valid(g)
-    state = _to_state(g)
-    for entry in state.values():
-        proc, intervals, private = entry
-        removed = ZERO
-        kept = []
-        for a, b in intervals:
-            if b <= private:
-                kept.append((a, b))
-            else:
-                lo = a if a > private else private
-                removed = removed + (b - lo)
-                if a < private:
-                    kept.append((a, private))
-        entry[1] = kept
-        entry[2] = private + removed
-    return _from_state(state)
+    return _run_pass(g, "normalize")
 
 
 def compact_idle(g: GeneralSchedule) -> GeneralSchedule:
@@ -344,31 +458,7 @@ def compact_idle(g: GeneralSchedule) -> GeneralSchedule:
     that raises the value by ``e`` times the job's weight.  Requires a
     valid normal schedule.
     """
-    _require_valid(g)
-    if not is_normal(g):
-        raise PreconditionError("compact_idle requires a normal schedule")
-    state = _to_state(g)
-    for proc in _state_procs(state):
-        while True:
-            chunks = _state_chunks(state, proc)
-            if not chunks:
-                break
-            gaps = []
-            cursor = ZERO
-            for a, b, _ in chunks:
-                if cursor < a:
-                    gaps.append((cursor, a))
-                cursor = b
-            if not gaps:
-                break
-            lo, hi = gaps[-1]
-            last_start, last_end, owner = chunks[-1]
-            eps = min((hi - lo).half(), last_end - last_start)
-            chunks[-1][1] = last_end - eps
-            chunks.append([lo, lo + eps + eps, owner])
-            state[owner][2] = state[owner][2] - eps
-            _set_chunks(state, proc, chunks)
-    return _from_state(state)
+    return _run_pass(g, "compact_idle")
 
 
 def merge_preemptions(g: GeneralSchedule) -> GeneralSchedule:
@@ -379,124 +469,60 @@ def merge_preemptions(g: GeneralSchedule) -> GeneralSchedule:
     reattaches that first piece directly before the second.  Completion
     times never grow and the value is unchanged.  Requires valid+normal.
     """
-    _require_valid(g)
-    if not is_normal(g):
-        raise PreconditionError("merge_preemptions requires a normal schedule")
-    state = _to_state(g)
-    for proc in _state_procs(state):
-        while True:
-            preempted = sorted(
-                (entry[1][0][0], job_id)
-                for job_id, entry in state.items()
-                if entry[0] == proc and len(entry[1]) > 1
-            )
-            if not preempted:
-                break
-            _, job_id = preempted[0]
-            (l, r), (l2, _) = state[job_id][1][0], state[job_id][1][1]
-            shift = r - l
-            chunks = []
-            for a, b, jid in _state_chunks(state, proc):
-                if jid == job_id and a == l and b == r:
-                    continue  # relocated below
-                if r <= a and b <= l2:
-                    chunks.append([a - shift, b - shift, jid])
-                else:
-                    chunks.append([a, b, jid])
-            chunks.append([l2 - shift, l2, job_id])
-            # fuse the job's now-touching intervals
-            merged: list[list] = []
-            for a, b, jid in sorted(chunks):
-                if merged and merged[-1][2] == jid and merged[-1][1] == a:
-                    merged[-1][1] = b
-                else:
-                    merged.append([a, b, jid])
-            _set_chunks(state, proc, merged)
-    return _from_state(state)
+    return _run_pass(g, "merge_preemptions")
 
 
 def reorder(g: GeneralSchedule) -> GeneralSchedule:
     """Adjacent swaps until each processor's shared order agrees with the
     private completion order; value and normality are preserved."""
-    _require_valid(g)
-    if not is_normal(g):
-        raise PreconditionError("reorder requires a normal schedule")
-    if not is_non_preemptive(g):
-        raise PreconditionError("reorder requires a non-preemptive schedule")
-    state = _to_state(g)
-    for proc in _state_procs(state):
-        chunks = _state_chunks(state, proc)
-        changed = True
-        while changed:
-            changed = False
-            for t in range(len(chunks) - 1):
-                a1, b1, j1 = chunks[t]
-                a2, b2, j2 = chunks[t + 1]
-                if state[j1][2] > state[j2][2]:
-                    len1, len2 = b1 - a1, b2 - a2
-                    chunks[t] = [a1, a1 + len2, j2]
-                    chunks[t + 1] = [b2 - len1, b2, j1]
-                    changed = True
-        _set_chunks(state, proc, chunks)
-    return _from_state(state)
+    return _run_pass(g, "reorder")
 
 
 # -- elementary rebalancing moves ----------------------------------------------
 #
-# The state-level helpers assume: single intervals, a contiguous span from
-# position i-1 to the end of the processor, and in-range eps.  The public
-# wrappers check the full preconditions before delegating.
+# ``_ripple`` assumes single intervals, a contiguous span from index i-1 to
+# the end of the processor, and an in-range eps.  The public wrappers check
+# the full preconditions before delegating.
 
 
-def _apply_pull(state: dict, order: list[str], i: int, eps: Dyadic) -> None:
-    prev_id = order[i - 2]
-    a_prev, b_prev = state[prev_id][1][0]
-    state[prev_id][1] = [(a_prev, b_prev - eps)]
-    state[prev_id][2] = state[prev_id][2] + eps
-    if state[prev_id][1][0][0] == state[prev_id][1][0][1]:
-        state[prev_id][1] = []
-        state[prev_id][0] = None
-    prev_end = b_prev - eps
-    delta = eps
-    for job_id in order[i - 1 :]:
-        delta = delta.half()
-        _, ((_, b),), private = state[job_id]
-        state[job_id][1] = [(prev_end, b - delta)]
-        state[job_id][2] = private - delta
-        prev_end = b - delta
+def _ripple(grid: _Grid, chunks: list, i: int, eps: int, sign: int, exp: int = 0) -> None:
+    """Trade ``eps / 2**exp`` of the job at index ``i - 1`` from private to
+    shared time (``sign`` 1, a push) or back (``sign`` -1, a pull), and
+    shift each later job by half the previous amount."""
+    h = max(0, len(chunks) - i + exp - ((eps & -eps).bit_length() - 1))
+    grid.shift(h)  # one refinement makes every halving below exact
+    eps = (eps << h) >> exp
+    private = grid.private
+    prev = chunks[i - 1]
+    prev[1] += sign * eps
+    private[prev[2]] -= sign * eps
+    end = prev[1]
+    kept = [prev] if prev[0] < prev[1] else []  # a full pull evicts it
+    for chunk in chunks[i:]:
+        eps >>= 1
+        new_end = chunk[1] + sign * eps
+        private[chunk[2]] += sign * eps
+        if end < new_end:
+            chunk[0], chunk[1] = end, new_end
+            kept.append(chunk)  # else its shared interval shrank to nothing: evicted
+        end = new_end
+    chunks[i - 1 :] = kept
 
 
-def _apply_push(state: dict, order: list[str], i: int, eps: Dyadic) -> None:
-    prev_id = order[i - 2]
-    a_prev, b_prev = state[prev_id][1][0]
-    state[prev_id][1] = [(a_prev, b_prev + eps)]
-    state[prev_id][2] = state[prev_id][2] - eps
-    prev_end = b_prev + eps
-    delta = eps
-    for job_id in order[i - 1 :]:
-        delta = delta.half()
-        _, ((_, b),), private = state[job_id]
-        new_end = b + delta
-        if prev_end < new_end:
-            state[job_id][1] = [(prev_end, new_end)]
-        else:
-            state[job_id][1] = []  # shared interval shrank to nothing: evicted
-            state[job_id][0] = None
-        state[job_id][2] = private + delta
-        prev_end = new_end
-
-
-def _check_span(state: dict, proc: int, first: int, order: list[str]) -> None:
-    """Positions first..k must be contiguous (no idle between them)."""
-    prev_end = None
-    for job_id in order[first - 1 :]:
-        a, b = state[job_id][1][0]
-        if prev_end is not None and a != prev_end:
+def _move_args(grid: _Grid, name: str, proc: int, i: int, eps: Dyadic) -> tuple[list, int]:
+    """The processor's chunks and ``eps`` on the grid, once position ``i``
+    is in range and positions ``i-1..k`` run without idle time."""
+    chunks = grid.chunks.get(proc, [])
+    if not 2 <= i <= len(chunks):
+        raise PreconditionError(f"{name} position {i} out of range 2..{len(chunks)}")
+    for (_, end, _), (start, _, job_id) in zip(chunks[i - 2 :], chunks[i - 1 :]):
+        if start != end:
             raise PreconditionError(
                 f"processor {proc}: idle time before job {job_id!r}; "
                 "the move's exact value accounting needs a contiguous span"
             )
-        prev_end = b
+    grid.shift(eps.exponent - grid.scale)
+    return chunks, eps.mantissa << (grid.scale - eps.exponent)
 
 
 def pull(g: GeneralSchedule, processor: int, i: int, eps) -> GeneralSchedule:
@@ -511,28 +537,22 @@ def pull(g: GeneralSchedule, processor: int, i: int, eps) -> GeneralSchedule:
     value changes by exactly ``-eps*w[i-1] + eps*sum(w[l] / 2**(l-i+1))``.
     """
     eps = as_dyadic(eps)
-    _require_valid(g)
-    if not is_ordered(g):
+    grid = _Grid(g)
+    _require(grid)
+    if not _ordered(grid):
         raise PreconditionError("pull requires an ordered schedule")
-    state = _to_state(g)
-    order = _positions(state, processor)
-    k = len(order)
-    if not 2 <= i <= k:
-        raise PreconditionError(f"pull position {i} out of range 2..{k}")
-    _check_span(state, processor, i - 1, order)
-    for job_id in order[i - 1 :]:
-        if state[job_id][1][-1][1] != state[job_id][2]:
-            raise PreconditionError(
-                f"job {job_id!r} at or after position {i} is not synchronized"
-            )
-    prev_id = order[i - 2]
-    a_prev, b_prev = state[prev_id][1][0]
-    if not ZERO < eps <= b_prev - a_prev:
+    chunks, e = _move_args(grid, "pull", processor, i, eps)
+    for _, b, job_id in chunks[i - 1 :]:
+        if b != grid.private[job_id]:
+            raise PreconditionError(f"job {job_id!r} at or after position {i} is not synchronized")
+    a, b, prev_id = chunks[i - 2]
+    if not 0 < e <= b - a:
         raise PreconditionError(
-            f"eps = {eps} outside (0, {b_prev - a_prev}], the shared length of {prev_id!r}"
+            f"eps = {eps} outside (0, {Dyadic(b - a, grid.scale)}], "
+            f"the shared length of {prev_id!r}"
         )
-    _apply_pull(state, order, i, eps)
-    return _from_state(state)
+    _ripple(grid, chunks, i - 1, e, -1)
+    return grid.schedule()
 
 
 def push(g: GeneralSchedule, processor: int, i: int, eps) -> GeneralSchedule:
@@ -548,33 +568,23 @@ def push(g: GeneralSchedule, processor: int, i: int, eps) -> GeneralSchedule:
     value changes by exactly ``+eps*w[i-1] - eps*sum(w[l] / 2**(l-i+1))``.
     """
     eps = as_dyadic(eps)
-    _require_valid(g)
-    if not is_normal(g):
-        raise PreconditionError("push requires a normal schedule")
-    if not is_non_preemptive(g):
-        raise PreconditionError("push requires a non-preemptive schedule")
-    state = _to_state(g)
-    order = _positions(state, processor)
-    k = len(order)
-    if not 2 <= i <= k:
-        raise PreconditionError(f"push position {i} out of range 2..{k}")
-    _check_span(state, processor, i - 1, order)
-    prev_id = order[i - 2]
-    slack = state[prev_id][2] - state[prev_id][1][0][1]
-    if not ZERO < eps <= slack.half():
+    grid = _Grid(g)
+    _enter(grid, "push", ("normal", "non-preemptive"))
+    chunks, e = _move_args(grid, "push", processor, i, eps)
+    _, b, prev_id = chunks[i - 2]
+    slack = grid.private[prev_id] - b
+    if not 0 < 2 * e <= slack:
         raise PreconditionError(
-            f"eps = {eps} outside (0, {slack.half()}], half the slack of {prev_id!r}"
+            f"eps = {eps} outside (0, {Dyadic(slack, grid.scale + 1)}], "
+            f"half the slack of {prev_id!r}"
         )
-    delta = eps
-    for pos, job_id in enumerate(order[i - 1 :], start=i):
-        delta = delta.half()
-        (a, b), = state[job_id][1]
-        if delta > b - a:
+    for offset, (a, b, job_id) in enumerate(chunks[i - 1 :], start=1):
+        if e > (b - a) << offset:
             raise PreconditionError(
-                f"eps = {eps} exceeds 2^{pos - i + 1} times the shared length of {job_id!r}"
+                f"eps = {eps} exceeds 2^{offset} times the shared length of {job_id!r}"
             )
-    _apply_push(state, order, i, eps)
-    return _from_state(state)
+    _ripple(grid, chunks, i - 1, e, 1)
+    return grid.schedule()
 
 
 # -- full synchronization --------------------------------------------------------
@@ -587,6 +597,40 @@ class SynchronizeReport:
     value_before: Dyadic
     value_after: Dyadic
     rebalance_steps: int
+    # (pass, value after it) for the four passes, then "rebalance"
+    pass_values: tuple[tuple[str, Dyadic], ...] = ()
+
+
+def _rebalance(grid: _Grid, w: dict, limit: int) -> int:
+    """The push/pull loop; returns its step count."""
+    private = grid.private
+    steps = 0
+    for chunks in grid.lists():
+        pos = len(chunks) - 1  # jobs past the last unsynchronized one stay synchronized
+        while True:
+            while pos >= 0 and chunks[pos][1] == private[chunks[pos][2]]:
+                pos -= 1
+            if pos < 0:
+                break
+            if steps >= limit:  # the progress argument caps the loop; never expected
+                raise RuntimeError("synchronization failed to make progress")
+            steps += 1
+            a, b, prev_id = chunks[pos]
+            discounted = 0  # sum of w[l] / 2**(l-pos), times 2**(jobs behind pos)
+            for _, _, job_id in chunks[pos + 1 :]:
+                discounted = (discounted << 1) + w[job_id]
+            if w[prev_id] << (len(chunks) - pos - 1) >= discounted:
+                # push half the predecessor's slack, bounded by each later
+                # job's shared length; with no later job this synchronizes it
+                eps = private[prev_id] - b
+                for offset, (a2, b2, _) in enumerate(chunks[pos + 1 :], start=2):
+                    eps = min(eps, (b2 - a2) << offset)
+                _ripple(grid, chunks, pos + 1, eps, 1, exp=1)
+            else:
+                # pushing the predecessor would lose value; evict it instead
+                _ripple(grid, chunks, pos + 1, b - a, -1)
+                pos -= 1
+    return steps
 
 
 def synchronize_detailed(g: GeneralSchedule, inst: Instance) -> SynchronizeReport:
@@ -600,66 +644,22 @@ def synchronize_detailed(g: GeneralSchedule, inst: Instance) -> SynchronizeRepor
     so the value never decreases; otherwise the preceding job is evicted
     by a full-length pull, which strictly gains value.
     """
-    _require_valid(g, inst)
-    value_before = value_general(g, inst)
-    work = reorder(merge_preemptions(compact_idle(normalize(g))))
-    state = _to_state(work)
-    limit = 2 * len(inst)
-    steps = 0
-    while True:
-        target = None
-        for proc in _state_procs(state):
-            order = _positions(state, proc)
-            unsync = [
-                pos
-                for pos, job_id in enumerate(order, start=1)
-                if state[job_id][1][-1][1] != state[job_id][2]
-            ]
-            if unsync:
-                target = (proc, order, unsync[-1])
-                break
-        if target is None:
-            break
-        if steps >= limit:  # the progress argument caps the loop; never expected
-            raise RuntimeError("synchronization failed to make progress")
-        steps += 1
-        proc, order, last_unsync = target
-        k = len(order)
-        if last_unsync == k:
-            # no synchronized suffix to ripple through: trade half the
-            # final job's slack from private to shared time
-            job_id = order[-1]
-            _, intervals, private = state[job_id]
-            a, b = intervals[-1]
-            eps = (private - b).half()
-            state[job_id][1][-1] = (a, b + eps)
-            state[job_id][2] = private - eps
-            continue
-        i = last_unsync + 1
-        prev_id = order[last_unsync - 1]
-        discounted = ZERO
-        scale = 0
-        for job_id in order[i - 1 :]:
-            scale -= 1
-            discounted = discounted + inst.job(job_id).w.mul_pow2(scale)
-        if inst.job(prev_id).w >= discounted:
-            eps = (state[prev_id][2] - state[prev_id][1][0][1]).half()
-            for offset, job_id in enumerate(order[i - 1 :], start=1):
-                (a, b), = state[job_id][1]
-                eps = min(eps, (b - a).mul_pow2(offset))
-            _apply_push(state, order, i, eps)
-        else:
-            # pushing the predecessor would lose value; evict it instead
-            (a_prev, b_prev), = state[prev_id][1]
-            _apply_pull(state, order, i, b_prev - a_prev)
-    final = _from_state(state)
-    sequences = tuple(
-        tuple(_positions(state, proc)) for proc in range(1, inst.m + 1)
-    )
-    schedule = SyncSchedule(sequences)
-    return SynchronizeReport(
-        schedule, final, value_before, value_general(final, inst), steps
-    )
+    grid = _Grid(g)
+    _require(grid, inst)
+    weights = _weights(grid, inst)
+    value_before = _value(grid, weights)
+    pass_values = []
+    for name, (run, needs) in _PASSES.items():
+        _enter(grid, name, needs)
+        run(grid)
+        pass_values.append((name, _value(grid, weights)))
+    steps = _rebalance(grid, weights[0], 2 * len(inst))
+    _require(grid, inst)
+    value_after = _value(grid, weights)
+    pass_values.append(("rebalance", value_after))
+    sequences = tuple(tuple(c[2] for c in grid.chunks.get(p, ())) for p in range(1, inst.m + 1))
+    schedule, values = SyncSchedule(sequences), tuple(pass_values)
+    return SynchronizeReport(schedule, grid.schedule(), value_before, value_after, steps, values)
 
 
 def synchronize(g: GeneralSchedule, inst: Instance) -> SyncSchedule:
@@ -673,11 +673,9 @@ def from_synchronized(schedule: SyncSchedule, inst: Instance) -> GeneralSchedule
     report = evaluate(schedule, inst)
     placements = {}
     for proc in report.processors:
-        times = proc.start_times
+        t = proc.start_times
         for idx, job_id in enumerate(proc.order):
-            placements[job_id] = JobPlacement(
-                proc.id, ((times[idx], times[idx + 1]),), times[idx + 1]
-            )
+            placements[job_id] = JobPlacement(proc.id, ((t[idx], t[idx + 1]),), t[idx + 1])
     for job in inst.jobs:
         if job.id not in placements:
             placements[job.id] = JobPlacement(None, (), job.p)
@@ -690,12 +688,7 @@ def from_synchronized(schedule: SyncSchedule, inst: Instance) -> GeneralSchedule
 def parse_general_schedule(text: bytes | str) -> GeneralSchedule:
     """Parse ``{"jobs": [{"id", "shared_processor", "shared_intervals",
     "private_completion"}, ...]}`` with dyadic-string endpoints."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    try:
-        data = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InstanceError(f"malformed JSON: {exc}") from exc
+    data = _load_json(text)
     if not isinstance(data, dict) or "jobs" not in data or not isinstance(data["jobs"], list):
         raise InstanceError('general schedule must be an object with a "jobs" list')
     placements = {}

@@ -1,9 +1,14 @@
 """CLI subcommands: outputs, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import sharedsched
 from sharedsched.cli import main
 
 FIVE_JOBS = (
@@ -408,3 +413,69 @@ def test_unknown_ids_reported_in_processor_order(workdir, capsys):
         code, _, err = run(capsys, command, inst, sched)
         assert code == 2
         assert "unknown job id 'zz'" in err
+
+
+# JSON that json.loads refuses with a plain ValueError (an integer literal
+# past Python's 4300-digit int-from-str limit) or a RecursionError
+LONG_INTEGER = '{"m": 1, "jobs": [{"id": "a", "p": ' + "9" * 5000 + ', "w": "1"}]}'
+DEEP_NESTING = "[" * 200000
+TWO_JOBS = '{"m":1,"jobs":[{"id":"a","p":"4","w":"1"},{"id":"b","p":"8","w":"1"}]}'
+SYNC_AB = '{"processors":[{"id":1,"order":["a","b"]}]}'
+GENERAL_AB = json.dumps(
+    {
+        "jobs": [
+            {"id": j, "shared_processor": 1, "shared_intervals": [[a, b]], "private_completion": c}
+            for j, a, b, c in (("a", "0", "1", "3"), ("b", "1", "9/2", "9/2"))
+        ]
+    }
+)
+
+
+@pytest.mark.parametrize("text", [LONG_INTEGER, DEEP_NESTING], ids=["long-integer", "deep-nesting"])
+@pytest.mark.parametrize("command", ["solve", "eval", "transform"])
+def test_unreadable_json_exits_2(workdir, capsys, command, text):
+    _, write = workdir
+    bad = write("bad.json", text)
+    calls = [[command, bad]]
+    if command != "solve":
+        good_inst, good_sched = write("i.json", TWO_JOBS), write("s.json", SYNC_AB)
+        calls = [[command, bad, good_sched], [command, good_inst, bad]]
+    for argv in calls:
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: malformed JSON") and err.count("\n") == 1
+
+
+def _loaded_modules(tmp_path, *argv) -> set[str]:
+    """The package modules a fresh interpreter holds after one CLI call."""
+    script = (
+        "import json, sys\n"
+        "from sharedsched.cli import main\n"
+        f"assert main({list(argv)!r}) == 0\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('sharedsched'))))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(sharedsched.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    return set(json.loads(done.stdout.splitlines()[-1]))
+
+
+def test_commands_import_only_what_they_use(workdir):
+    tmp_path, write = workdir
+    inst, sched = write("i.json", TWO_JOBS), write("s.json", SYNC_AB)
+    general = write("g.json", GENERAL_AB)
+    for argv in (["solve", inst], ["eval", inst, sched], ["brute", inst]):
+        loaded = _loaded_modules(tmp_path, *argv)
+        assert "sharedsched.engine" in loaded
+        assert not loaded & {"sharedsched.transforms", "sharedsched.hardness"}, argv
+    loaded = _loaded_modules(tmp_path, "transform", inst, general)
+    assert "sharedsched.transforms" in loaded
+    assert not loaded & {"sharedsched.solvers", "sharedsched._permsearch", "sharedsched.hardness"}

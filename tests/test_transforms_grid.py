@@ -1,0 +1,337 @@
+"""Differential tests for canonicalization on the scaled-integer grid.
+
+Two oracles check every pass and the push/pull loop over one seeded
+corpus of general schedules:
+
+* ``tests/data/transforms_digests.json`` holds, per corpus input, the
+  sha256 of every public pass's output, of ``synchronize_detailed``'s
+  general schedule and sequence form, its values and step count, and the
+  text of every error, as the ``Dyadic``-object implementation produced
+  them.  It was recorded once, before the passes moved to integers, and
+  is never re-recorded: a mismatch means the moves changed.
+* a ``Fraction`` recomputation of values and validity from the intervals.
+
+The corpus: ``conftest.random_general_schedule``; interleaved schedules
+(idle holes, two chunks per job) and staircases (a push/pull step per
+job, with evictions when weights fall); endpoints with mixed dyadic
+exponents; one endpoint at exponent 2001; ties in private completion.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import random
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from sharedsched.dyadic import Dyadic
+from sharedsched.engine import evaluate, serialize_sync_schedule
+from sharedsched.transforms import (
+    GeneralSchedule,
+    InvalidScheduleError,
+    JobPlacement,
+    PreconditionError,
+    compact_idle,
+    is_synchronized,
+    merge_preemptions,
+    normalize,
+    pull,
+    push,
+    reorder,
+    serialize_general_schedule,
+    synchronize_detailed,
+    validate,
+)
+
+from conftest import frac, make_instance, random_general_schedule
+
+DIGESTS = Path(__file__).parent / "data" / "transforms_digests.json"
+
+
+# -- corpus --------------------------------------------------------------------
+
+
+def _build(rows, m):
+    """rows: (id, processor, intervals, private, weight) -> (schedule, instance)."""
+    specs, placements = [], {}
+    for job_id, proc, intervals, private, weight in rows:
+        intervals = tuple((Dyadic(0) + a, Dyadic(0) + b) for a, b in intervals)
+        private = Dyadic(0) + private
+        shared = sum((b - a for a, b in intervals), Dyadic(0))
+        specs.append((job_id, shared + private, weight))
+        placements[job_id] = JobPlacement(proc if intervals else None, intervals, private)
+    return GeneralSchedule(placements), make_instance(specs, m)
+
+
+def interleaved(rng, per_proc, m):
+    """Two chunks per job, all first chunks before all second chunks, an
+    idle hole before every chunk; normal."""
+    rows = []
+    for proc in range(1, m + 1):
+        ids = [f"q{proc}j{idx}" for idx in range(per_proc)]
+        chunks = {job_id: [] for job_id in ids}
+        cursor = 0
+        for _ in range(2):
+            for job_id in ids:
+                start = cursor + rng.randint(1, 4)
+                cursor = start + rng.randint(2, 12)
+                chunks[job_id].append((start, cursor))
+        for job_id in ids:
+            private = chunks[job_id][-1][1] + rng.randint(0, 6)
+            rows.append((job_id, proc, chunks[job_id], private, rng.randint(1, 100)))
+    return _build(rows, m)
+
+
+def staircase(rng, per_proc, m, w_lo=90):
+    """Back-to-back single chunks from 0 with rising private completions
+    past their shared ends: already ordered, one rebalance step per job."""
+    rows = []
+    for proc in range(1, m + 1):
+        cursor = private = 0
+        for idx in range(per_proc):
+            start, cursor = cursor, cursor + rng.randint(20, 40)
+            private = max(private, cursor) + rng.randint(1, 8)
+            weight = rng.randint(w_lo, 100)
+            rows.append((f"q{proc}j{idx}", proc, [(start, cursor)], private, weight))
+    return _build(rows, m)
+
+
+def mixed_exponents(rng, n, m):
+    """Chunks, holes and private slack with exponents 0..9 mixed; some
+    jobs preempted, some not normal, some private only."""
+    rows = []
+    cursor = {proc: Dyadic(0) for proc in range(1, m + 1)}
+    for idx in range(n):
+        proc = rng.choice([None] + list(range(1, m + 1)))
+        intervals = []
+        if proc is not None:
+            for _ in range(rng.randint(1, 2)):
+                start = cursor[proc] + Dyadic(rng.randint(0, 9), rng.randint(0, 6))
+                cursor[proc] = start + Dyadic(rng.randint(1, 40), rng.randint(0, 9))
+                intervals.append((start, cursor[proc]))
+        end = intervals[-1][1] if intervals else Dyadic(0)
+        private = end + Dyadic(rng.randint(-30, 20), rng.randint(0, 7))
+        if private.sign <= 0:
+            private = Dyadic(rng.randint(1, 5), rng.randint(0, 3))
+        weight = Dyadic(rng.randint(1, 50), rng.randint(0, 4))
+        rows.append((f"x{idx}", proc, intervals, private, weight))
+    return _build(rows, m)
+
+
+def huge_exponent():
+    """One endpoint at exponent 2001, a hole behind it, a staircase after."""
+    tiny = Dyadic(1, 2001)
+    rows = [
+        ("h0", 1, [(0, 3 + tiny)], 5, 7),
+        ("h1", 1, [(4, 9)], 12, 5),
+        ("h2", 1, [(9, 15)], 20, 9),
+        ("h3", 2, [(tiny, 2)], 3 - tiny, 1),
+        ("h4", 2, [(2, 8)], 8, 60),
+    ]
+    return _build(rows, 2)
+
+
+def private_ties(rng, per_proc, m):
+    """Back-to-back single chunks whose private completions repeat and
+    come in descending runs, so reorder and the rebalance loop see ties."""
+    rows = []
+    for proc in range(1, m + 1):
+        cursor = 0
+        level = 40 * per_proc
+        for idx in range(per_proc):
+            start, cursor = cursor, cursor + rng.randint(2, 9)
+            if rng.random() < 0.5:
+                level -= rng.randint(1, 5)
+            rows.append(
+                (f"t{proc}j{idx}", proc, [(start, cursor)], max(level, cursor), rng.randint(1, 100))
+            )
+    return _build(rows, m)
+
+
+def corpus():
+    rng = random.Random(20260418)
+    cases = []
+    for idx in range(60):
+        cases.append((f"random-{idx}", *random_general_schedule(rng)))
+    for idx in range(6):
+        per_proc, m = rng.randint(2, 6), rng.randint(1, 2)
+        cases.append((f"interleaved-{idx}", *interleaved(rng, per_proc, m)))
+    for idx in range(6):
+        w_lo = 90 if idx % 2 == 0 else 1
+        per_proc, m = rng.randint(3, 18), rng.randint(1, 2)
+        cases.append((f"staircase-{idx}", *staircase(rng, per_proc, m, w_lo)))
+    cases.append(("staircase-deep", *staircase(rng, 40, 2)))
+    for idx in range(20):
+        cases.append((f"mixed-{idx}", *mixed_exponents(rng, rng.randint(1, 9), rng.randint(1, 3))))
+    cases.append(("huge-exponent", *huge_exponent()))
+    for idx in range(6):
+        cases.append((f"ties-{idx}", *private_ties(rng, rng.randint(2, 8), rng.randint(1, 2))))
+    return cases
+
+
+CORPUS = corpus()
+
+
+# -- the record ----------------------------------------------------------------
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def _outcome(fn, *args):
+    try:
+        result = fn(*args)
+    except (InvalidScheduleError, PreconditionError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return _sha(serialize_general_schedule(result))
+
+
+def _moves(general, seed):
+    """pull/push on the longest processor of a synchronized schedule: a
+    legal pull, the push that undoes it, and two out-of-range calls."""
+    rng = random.Random(seed)
+    procs = general.processors()
+    if not procs:
+        return {}
+    proc = max(procs, key=lambda p: (len(general.chunks_on(p)), -p))
+    chunks = general.chunks_on(proc)
+    if len(chunks) < 2:
+        return {}
+    i = rng.randint(2, len(chunks))
+    a, b, _ = chunks[i - 2]
+    eps = (b - a).mul_pow2(-rng.randint(0, 2))
+    out = {
+        "pull": _outcome(pull, general, proc, i, eps),
+        "pull_wide": _outcome(pull, general, proc, i, (b - a) + 1),
+    }
+    try:
+        pulled = pull(general, proc, i, eps)
+    except PreconditionError:
+        return out
+    out["push_back"] = _outcome(push, pulled, proc, i, eps)
+    out["push_wide"] = _outcome(push, pulled, proc, i, eps.mul_pow2(rng.randint(1, 3)))
+    return out
+
+
+def _corrupted(g, m):
+    """The schedule with its first shared interval moved 1 earlier, the
+    first private completion raised by 1/2, and the last job's processor
+    dropped (when it has intervals) or set to m + 1: overlaps, starts
+    before 0, length mismatches and bad processors for ``validate``."""
+    placements = dict(g.placements)
+    job_id, p = list(placements.items())[-1]
+    proc = None if p.intervals else m + 1
+    placements[job_id] = JobPlacement(proc, p.intervals, p.private_completion)
+    for job_id, p in placements.items():
+        if p.intervals:
+            (a, b), *rest = p.intervals
+            moved = ((a - 1, b - 1), *rest)
+            placements[job_id] = JobPlacement(p.processor, moved, p.private_completion)
+            break
+    job_id = next(iter(placements))
+    p = placements[job_id]
+    placements[job_id] = JobPlacement(p.processor, p.intervals, p.private_completion + Dyadic(1, 1))
+    return GeneralSchedule(placements)
+
+
+def record(name, g, inst):
+    out = {
+        "validate": _sha("\n".join(validate(_corrupted(g, inst.m), inst))),
+        "compact_idle_raw": _outcome(compact_idle, g),
+        "normalize": _outcome(normalize, g),
+    }
+    n = normalize(g)
+    out["merge_preemptions_holes"] = _outcome(merge_preemptions, n)
+    out["reorder_raw"] = _outcome(reorder, n)
+    out["compact_idle"] = _outcome(compact_idle, n)
+    c = compact_idle(n)
+    out["merge_preemptions"] = _outcome(merge_preemptions, c)
+    out["reorder"] = _outcome(reorder, merge_preemptions(c))
+    report = synchronize_detailed(g, inst)
+    out["synchronize"] = {
+        "general": _sha(serialize_general_schedule(report.general)),
+        "schedule": _sha(serialize_sync_schedule(report.schedule)),
+        "value_before": str(report.value_before),
+        "value_after": str(report.value_after),
+        "rebalance_steps": report.rebalance_steps,
+    }
+    out.update(_moves(report.general, name))
+    return out
+
+
+@pytest.mark.parametrize("name,g,inst", CORPUS, ids=[case[0] for case in CORPUS])
+def test_matches_recorded_dyadic_path(name, g, inst):
+    expected = json.loads(DIGESTS.read_text(encoding="utf-8"))[name]
+    assert record(name, g, inst) == expected
+
+
+# -- the Fraction oracle ---------------------------------------------------------
+
+
+def oracle_value(g, inst) -> Fraction:
+    total = Fraction(0)
+    for job_id, p in g.placements.items():
+        cutoff = frac(p.private_completion)
+        for a, b in p.intervals:
+            hi = min(frac(b), cutoff)
+            if frac(a) < hi:
+                total += (hi - frac(a)) * frac(inst.job(job_id).w)
+    return total
+
+
+def oracle_synchronized(g, inst) -> bool:
+    """Every job's lengths sum to p; shared jobs run one interval ending at
+    the private completion; no two intervals on a processor overlap."""
+    by_proc = {}
+    for job_id, p in g.placements.items():
+        shared = sum((frac(b) - frac(a) for a, b in p.intervals), Fraction(0))
+        if shared + frac(p.private_completion) != frac(inst.job(job_id).p):
+            return False
+        if p.intervals:
+            ((a, b),) = p.intervals
+            if not 0 <= frac(a) < frac(b) == frac(p.private_completion):
+                return False
+            by_proc.setdefault(p.processor, []).append((frac(a), frac(b)))
+    for spans in by_proc.values():
+        spans.sort()
+        if any(a2 < b1 for (_, b1), (a2, _) in zip(spans, spans[1:])):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("name,g,inst", CORPUS, ids=[case[0] for case in CORPUS])
+def test_against_fraction_oracle(name, g, inst):
+    report = synchronize_detailed(g, inst)
+    assert frac(report.value_before) == oracle_value(g, inst)
+    assert frac(report.value_after) == oracle_value(report.general, inst)
+    assert validate(report.general, inst) == []
+    assert is_synchronized(report.general)
+    assert oracle_synchronized(report.general, inst)
+    assert evaluate(report.schedule, inst).total == report.value_after
+
+
+@pytest.mark.parametrize("name,g,inst", CORPUS, ids=[case[0] for case in CORPUS])
+def test_pass_values_never_decrease(name, g, inst):
+    report = synchronize_detailed(g, inst)
+    names = [step for step, _ in report.pass_values]
+    assert names == ["normalize", "compact_idle", "merge_preemptions", "reorder", "rebalance"]
+    chain = [report.value_before] + [value for _, value in report.pass_values]
+    assert all(x <= y for x, y in zip(chain, chain[1:]))
+    assert chain[-1] == report.value_after
+    # each pass's value is the Fraction value of the public pass's output
+    work = g
+    for step, value in report.pass_values[:-1]:
+        work = globals()[step](work)
+        assert frac(value) == oracle_value(work, inst)
+
+
+if __name__ == "__main__":
+    # Records the digests; run once, from the repository root, against the
+    # implementation the corpus is meant to pin down.
+    DIGESTS.parent.mkdir(exist_ok=True)
+    data = {name: record(name, g, inst) for name, g, inst in CORPUS}
+    DIGESTS.write_text(json.dumps(data, indent=1, sort_keys=True) + "\n", encoding="utf-8")
