@@ -54,9 +54,10 @@ def _emit(data) -> None:
     print(json.dumps(data, sort_keys=True))
 
 
-def _read(path: str) -> str:
+def _read(path: str) -> bytes:
+    # bytes: model._load_json decodes them, so non-UTF-8 input is a parse error
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_bytes()
     except OSError as exc:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
 
@@ -134,7 +135,7 @@ def _cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _sync_schedule(text: str, inst: Instance) -> engine.SyncSchedule:
+def _sync_schedule(text: bytes, inst: Instance) -> engine.SyncSchedule:
     """Parse a synchronized schedule; unknown job ids are a parse-level
     error, reported for the first one in processor order."""
     schedule = engine.parse_sync_schedule(text, inst.m)
@@ -144,7 +145,7 @@ def _sync_schedule(text: str, inst: Instance) -> engine.SyncSchedule:
     return schedule
 
 
-def _sequences_for_check(text: str, inst: Instance):
+def _sequences_for_check(text: bytes, inst: Instance):
     """Either schedule format, reduced to per-processor job-id orders
     plus (for the general format) the parsed schedule itself."""
     data = _load_json(text)
@@ -256,21 +257,11 @@ def _cmd_gantt(args) -> int:
     schedule = _sync_schedule(_read(args.schedule), inst)
     report = engine.evaluate(schedule, inst)
     width = args.width
-    private_end = {}
-    for job in inst.jobs:
-        private_end[job.id] = job.p
-    segments = {proc.id: [] for proc in report.processors}
-    horizon = Dyadic(0)
+    private_end = {job.id: job.p for job in inst.jobs}
     for proc in report.processors:
-        for idx, job_id in enumerate(proc.order):
-            start, end = proc.start_times[idx], proc.start_times[idx + 1]
-            segments[proc.id].append((start, end, job_id))
-            private_end[job_id] = end  # synchronized: private span matches
-    for end in private_end.values():
-        horizon = max(horizon, end)
-    for proc in report.processors:
-        if proc.start_times:
-            horizon = max(horizon, proc.start_times[-1])
+        # synchronized: a shared job's private span ends with its shared one
+        private_end.update(zip(proc.order, proc.start_times[1:]))
+    horizon = max(private_end.values(), default=Dyadic(0))
     lines = [f"time 0..{_text(horizon)}  ({width} columns)"]
     labels = [f"M{proc.id}" for proc in report.processors]
     labels += [f"P {job.id}" for job in inst.jobs]
@@ -281,7 +272,7 @@ def _cmd_gantt(args) -> int:
     else:
         for proc in report.processors:
             cells = [" "] * width
-            for start, end, job_id in segments[proc.id]:
+            for start, end, job_id in zip(proc.start_times, proc.start_times[1:], proc.order):
                 lo = _bar_column(start, horizon, width)
                 hi = max(_bar_column(end, horizon, width), lo + 1)
                 hi = min(hi, width)

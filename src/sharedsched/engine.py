@@ -286,14 +286,11 @@ def exchange_delta(perm: Sequence, i: int) -> Dyadic:
 
 def _is_inclusive(values: list[Dyadic]) -> bool:
     values = sorted(values)
-    k = len(values)
-    if k <= 1:
+    if len(values) <= 1:
         return True
-    # makespan of all-but-the-shortest in ascending order, closed form
-    makespan = ZERO
-    for l in range(1, k):
-        makespan = makespan + values[l].mul_pow2(-(k - l))
-    return makespan < values[0]
+    # makespan of all-but-the-shortest in ascending order
+    _, times, s = _halving(values[1:])
+    return Dyadic(times[-1], s) < values[0]
 
 
 def is_processing_time_inclusive(jobs: Iterable) -> bool:

@@ -5,7 +5,9 @@ The equal-weight solver runs in O(n log n): sort jobs by descending
 processing time, deal them round-robin across the m shared processors
 (so any two jobs on one processor carry different positional weights
 1/2, 1/4, ..., and the first ``n - (ceil(n/m) - 1) * m`` processors get
-one extra job), then run each processor's jobs in ascending order.
+one extra job), then run each processor's jobs in ascending order.  With
+unit weights an order's value telescopes to its makespan.  The
+unit-weight values and the local search evaluate through ``engine._halving``.
 
 ``brute_force`` is the exact oracle: it finds the best assignment of
 each job to {private-only, processor 1..m} with the best feasible
@@ -19,13 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import islice
 from typing import Sequence
 
-from . import _permsearch
-from .dyadic import Dyadic, _clear_denominators, as_dyadic
-from .engine import SyncSchedule, check_feasible, evaluate, evaluate_sequence
-from .model import Instance, Job
+from .dyadic import ZERO, Dyadic, _clear_denominators
+from .engine import SyncSchedule, _halving, _times, check_feasible, evaluate, evaluate_sequence
+from .model import Instance
 
 __all__ = [
     "PositionalWeights",
@@ -107,43 +107,28 @@ def solve_equal_weights(inst: Instance) -> SyncSchedule:
     return SyncSchedule(tuple(tuple(bucket) for bucket in buckets))
 
 
-def _unit_value(groups: list[list[int]], exponent: int) -> Dyadic:
-    # sum of the groups' makespans: the halving recurrence telescopes, so a
-    # unit-weight order's total overlap is its last start time T_{k+1}
-    shift = max(map(len, groups), default=0)  # makes every halving exact
-    total = 0
-    for group in groups:
-        t = 0
-        for p in group:
-            t = (t + (p << shift)) >> 1
-        total += t
-    return Dyadic(total, exponent + shift)
-
-
 def equal_weights_value(partition: Sequence[Sequence]) -> Dyadic:
     """Unit-weight value of ascending per-processor job lists:
     sum of p_i / 2^(size+1-i) over each list."""
-    groups = [
-        [item.p if isinstance(item, Job) else as_dyadic(item) for item in group]
-        for group in partition
-    ]
-    ints, exponent = _clear_denominators([p for group in groups for p in group])
-    flat = iter(ints)
-    scaled = [list(islice(flat, len(group))) for group in groups]
-    for group, part in zip(groups, scaled):
-        for idx in range(1, len(part)):
-            if part[idx] < part[idx - 1]:
-                raise ValueError(f"list not ascending: {group[idx - 1]} precedes {group[idx]}")
-    return _unit_value(scaled, exponent)
+    groups = [_times(group) for group in partition]  # coerce every list before any check
+    total = ZERO
+    for ps in groups:
+        # with unit weights the total overlap telescopes to the makespan T_{k+1}
+        ints, times, s = _halving(ps)
+        for idx in range(1, len(ints)):
+            if ints[idx] < ints[idx - 1]:
+                raise ValueError(f"list not ascending: {ps[idx - 1]} precedes {ps[idx]}")
+        total = total + Dyadic(times[-1], s)
+    return total
 
 
 def single_processor_ascending(jobs: Sequence) -> Dyadic:
     """Best single-shared-processor value for unit weights: run jobs in
     ascending order, yielding p_n/2 + p_{n-1}/4 + ... + p_1/2^n."""
-    ints, exponent = _clear_denominators(
-        [item.p if isinstance(item, Job) else as_dyadic(item) for item in jobs]
-    )
-    return _unit_value([sorted(ints)], exponent)
+    ps = _times(jobs)
+    keys, _ = _clear_denominators(ps)
+    _, times, s = _halving([ps[i] for i in sorted(range(len(ps)), key=keys.__getitem__)])
+    return Dyadic(times[-1], s)
 
 
 def search_backend() -> str:
@@ -175,6 +160,7 @@ def brute_force(
             f"about {order_work + assign_work} candidates exceeds "
             f"max_candidates = {limits.max_candidates}"
         )
+    from . import _permsearch  # only brute loads the search module
     ps, p_exp = _clear_denominators([job.p for job in inst.jobs])
     ws, w_exp = _clear_denominators([job.w for job in inst.jobs])
     best_num, _, orders = _permsearch.search(ps, ws, inst.m)
@@ -194,20 +180,18 @@ def improve_by_exchanges(schedule: SyncSchedule, inst: Instance) -> SyncSchedule
     the total and there are finitely many orders.
     """
     evaluate(schedule, inst)  # rejects infeasible input with a located error
-    sequences = [list(seq) for seq in schedule.sequences]
+    orders = [[inst.job(job_id) for job_id in seq] for seq in schedule.sequences]
     improved = True
     while improved:
         improved = False
-        for seq in sequences:
-            pos = 0
-            while pos < len(seq) - 1:
-                swapped = list(seq)
-                swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-                new_jobs = [inst.job(job_id) for job_id in swapped]
-                if check_feasible(new_jobs) is None:
-                    old_jobs = [inst.job(job_id) for job_id in seq]
-                    if evaluate_sequence(new_jobs) > evaluate_sequence(old_jobs):
-                        seq[:] = swapped
+        for jobs in orders:
+            value = evaluate_sequence(jobs)
+            for pos in range(len(jobs) - 1):
+                swapped = jobs[:pos] + [jobs[pos + 1], jobs[pos]] + jobs[pos + 2 :]
+                if check_feasible(swapped) is None:
+                    swapped_value = evaluate_sequence(swapped)
+                    if swapped_value > value:
+                        jobs[:] = swapped
+                        value = swapped_value
                         improved = True
-                pos += 1
-    return SyncSchedule(tuple(tuple(seq) for seq in sequences))
+    return SyncSchedule(tuple(tuple(job.id for job in jobs) for jobs in orders))

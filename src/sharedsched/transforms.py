@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .dyadic import ZERO, Dyadic, _clear_denominators, as_dyadic
+from .dyadic import Dyadic, _clear_denominators, as_dyadic
 from .engine import SyncSchedule, evaluate
 from .model import Instance, InstanceError, _load_json, json_to_dyadic
 
@@ -94,18 +94,6 @@ class JobPlacement:
         intervals = tuple((as_dyadic(a), as_dyadic(b)) for a, b in self.intervals)
         object.__setattr__(self, "intervals", tuple(sorted(intervals)))
         object.__setattr__(self, "private_completion", as_dyadic(self.private_completion))
-
-    @property
-    def shared_length(self) -> Dyadic:
-        total = ZERO
-        for a, b in self.intervals:
-            total = total + (b - a)
-        return total
-
-    @property
-    def shared_completion(self) -> Dyadic:
-        """Completion time on the shared processor; zero when unused."""
-        return self.intervals[-1][1] if self.intervals else ZERO
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,10 @@ FIVE_JOBS = (
 def workdir(tmp_path):
     def write(name, text):
         path = tmp_path / name
-        path.write_text(text, encoding="utf-8")
+        if isinstance(text, bytes):
+            path.write_bytes(text)
+        else:
+            path.write_text(text, encoding="utf-8")
         return str(path)
 
     return tmp_path, write
@@ -354,6 +357,32 @@ def test_gantt_single_job(workdir, capsys):
     assert lines[2].endswith("|========|")
 
 
+def test_gantt_full_text(workdir, capsys):
+    # an empty processor, a private-only job that sets the horizon, dyadic
+    # start times, and a job id longer than its bar
+    _, write = workdir
+    inst = write(
+        "i.json",
+        '{"m":3,"jobs":[{"id":"a","p":"3/2","w":"1"},{"id":"longjob","p":"5/2","w":"3/4"},'
+        '{"id":"c","p":"9/4","w":"1"},{"id":"z","p":"5","w":"1"}]}',
+    )
+    sched = write(
+        "s.json", '{"processors":[{"id":1,"order":["a","longjob"]},{"id":3,"order":["c"]}]}'
+    )
+    code, out, _ = run(capsys, "gantt", inst, sched, "--width", "20")
+    assert code == 0
+    assert out == (
+        "time 0..5  (20 columns)\n"
+        "M1        |aaalon              |\n"
+        "M2        |                    |\n"
+        "M3        |cccc                |\n"
+        "P a       |===                 |\n"
+        "P longjob |======              |\n"
+        "P c       |====                |\n"
+        "P z       |====================|\n"
+    )
+
+
 @pytest.mark.parametrize("value", ["0", "-5"])
 def test_gantt_nonpositive_width_exits_2(workdir, capsys, value):
     _, write = workdir
@@ -431,7 +460,12 @@ GENERAL_AB = json.dumps(
 )
 
 
-@pytest.mark.parametrize("text", [LONG_INTEGER, DEEP_NESTING], ids=["long-integer", "deep-nesting"])
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+@pytest.mark.parametrize(
+    "text", [LONG_INTEGER, DEEP_NESTING, NOT_UTF8], ids=["long-integer", "deep-nesting", "not-utf8"]
+)
 @pytest.mark.parametrize("command", ["solve", "eval", "transform"])
 def test_unreadable_json_exits_2(workdir, capsys, command, text):
     _, write = workdir
@@ -476,6 +510,7 @@ def test_commands_import_only_what_they_use(workdir):
         loaded = _loaded_modules(tmp_path, *argv)
         assert "sharedsched.engine" in loaded
         assert not loaded & {"sharedsched.transforms", "sharedsched.hardness"}, argv
+        assert ("sharedsched._permsearch" in loaded) == (argv[0] == "brute"), argv
     loaded = _loaded_modules(tmp_path, "transform", inst, general)
     assert "sharedsched.transforms" in loaded
     assert not loaded & {"sharedsched.solvers", "sharedsched._permsearch", "sharedsched.hardness"}

@@ -3,11 +3,13 @@
 ``start_times``, ``check_feasible``, ``evaluate_sequence``, ``evaluate``,
 ``solve_equal_weights``, ``equal_weights_value`` and
 ``single_processor_ascending`` run on integers scaled by one power of two
-and build ``Dyadic`` values only for their results.  Each is checked
-against two references: the ``Fraction`` oracle in ``conftest``, and a
-test-local copy of the ``Dyadic``-object code that these functions
-replaced (the ``dyadic_*`` functions below), which must agree on every
-value, every canonical form and every error.
+and build ``Dyadic`` values only for their results; the inclusivity
+predicates and ``improve_by_exchanges`` evaluate through the same halving
+recurrence (``engine._halving``).  Each is checked against two
+references: the ``Fraction`` oracle in ``conftest``, and a test-local
+copy of the code that these functions replaced (the ``dyadic_*``
+functions below), which must agree on every value, every canonical form,
+every error and every output schedule.
 """
 
 import random
@@ -24,11 +26,15 @@ from sharedsched.engine import (
     check_feasible,
     evaluate,
     evaluate_sequence,
+    is_processing_time_inclusive,
+    is_weight_inclusive,
     start_times,
 )
 from sharedsched.model import Instance, InstanceError, Job
+from sharedsched import solvers
 from sharedsched.solvers import (
     equal_weights_value,
+    improve_by_exchanges,
     single_processor_ascending,
     solve_equal_weights,
 )
@@ -104,6 +110,38 @@ def dyadic_unit_value(partition):
         for idx, p in enumerate(group, start=1):
             total = total + p.mul_pow2(-(len(group) + 1 - idx))
     return total
+
+
+def dyadic_is_inclusive(values):
+    values = sorted(values)
+    k = len(values)
+    if k <= 1:
+        return True
+    makespan = ZERO
+    for l in range(1, k):
+        makespan = makespan + values[l].mul_pow2(-(k - l))
+    return makespan < values[0]
+
+
+def dyadic_improve_by_exchanges(schedule, inst):
+    evaluate(schedule, inst)
+    sequences = [list(seq) for seq in schedule.sequences]
+    improved = True
+    while improved:
+        improved = False
+        for seq in sequences:
+            pos = 0
+            while pos < len(seq) - 1:
+                swapped = list(seq)
+                swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
+                new_jobs = [inst.job(job_id) for job_id in swapped]
+                if check_feasible(new_jobs) is None:
+                    old_jobs = [inst.job(job_id) for job_id in seq]
+                    if evaluate_sequence(new_jobs) > evaluate_sequence(old_jobs):
+                        seq[:] = swapped
+                        improved = True
+                pos += 1
+    return SyncSchedule(tuple(tuple(seq) for seq in sequences))
 
 
 # -- Fraction-oracle helpers ----------------------------------------------------
@@ -346,3 +384,115 @@ def test_unit_values_match_both_references():
 def test_equal_weights_value_rejects_descending_lists():
     with pytest.raises(ValueError, match=r"list not ascending: 3/4 precedes 1/2"):
         equal_weights_value([[Dyadic(1, 2)], [Dyadic(3, 2), Dyadic(1, 1)]])
+
+
+# -- inclusivity and local search ------------------------------------------------
+
+
+def oracle_inclusive(values):
+    values = sorted(frac(v) for v in values)
+    return len(values) <= 1 or oracle_start_times(values[1:])[-1] < values[0]
+
+
+def inclusive_candidates(rng: random.Random) -> list[Dyadic]:
+    """Values in a band, so that both outcomes occur.  In about a third of
+    the draws one value sits at, just below or just above the ascending
+    makespan of the others: the boundary where inclusivity flips."""
+    k = rng.randint(0, 7)
+    base = mixed_dyadic(rng)
+    values = [base + Dyadic(rng.randint(0, 1 << 12), rng.randint(0, 16)) for _ in range(k)]
+    if k >= 2 and rng.random() < 0.35:
+        tail = sorted(values[1:])
+        makespan = dyadic_start_times(tail)[-1]
+        ulp = Dyadic(1, makespan.exponent + rng.randint(0, 3))
+        values[0] = makespan + rng.choice((-ulp, ZERO, ulp))
+    rng.shuffle(values)
+    return values
+
+
+def test_inclusivity_matches_both_references():
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(1500):
+        ps, ws = inclusive_candidates(rng), inclusive_candidates(rng)
+        got = is_processing_time_inclusive([Job(f"j{i}", p, 1) for i, p in enumerate(ps)])
+        assert got == is_processing_time_inclusive(ps)
+        assert got == dyadic_is_inclusive(ps) == oracle_inclusive(ps)
+        weighted = [Job(f"j{i}", 1, w) for i, w in enumerate(ws)]
+        assert is_weight_inclusive(weighted) == dyadic_is_inclusive(ws) == oracle_inclusive(ws)
+        outcomes.add((len(ps) > 1, got))
+    assert outcomes == {(False, True), (True, False), (True, True)}
+
+
+def test_inclusivity_boundary():
+    # ascending makespan of (8, 10) is 8/4 + 10/2 = 7: shortest 7 is not
+    # inclusive, 7 + 2^-40 is, with an exponent far from the others'
+    assert not is_processing_time_inclusive([10, 7, 8])
+    assert is_processing_time_inclusive([10, Dyadic(7 * 2**40 + 1, 40), 8])
+    assert not is_weight_inclusive([Job("a", 1, 7), Job("b", 1, 8), Job("c", 1, 10)])
+    just_above = Dyadic(7 * 2**40 + 1, 40)
+    assert is_weight_inclusive([Job("a", 1, just_above), Job("b", 1, 8), Job("c", 1, 10)])
+    assert is_processing_time_inclusive([]) and is_weight_inclusive([])
+    assert is_processing_time_inclusive([Dyadic(3, 9)]) and is_weight_inclusive([Job("a", 1, 3)])
+
+
+def exchange_case(rng: random.Random):
+    """A schedule to improve: equal (p, w) pairs make equal-value swaps,
+    and short jobs after long ones make infeasible swaps."""
+    def pair():
+        return mixed_dyadic(rng, max_exp=3), mixed_dyadic(rng, max_exp=3)
+
+    pool = [pair() for _ in range(3)]
+    pairs = [rng.choice(pool) if rng.random() < 0.4 else pair() for _ in range(rng.randint(0, 9))]
+    inst = Instance(tuple(Job(f"j{i}", p, w) for i, (p, w) in enumerate(pairs)), rng.randint(1, 3))
+    sequences = [[] for _ in range(inst.m)]
+    for job in inst.jobs:
+        if rng.random() < 0.85:
+            sequences[rng.randrange(inst.m)].append(job)
+    for seq in sequences:
+        seq.sort(key=lambda j: j.p)  # ascending: feasible
+        if rng.random() < 0.3:
+            rng.shuffle(seq)  # often infeasible: both versions must raise alike
+    return inst, SyncSchedule(tuple(tuple(job.id for job in seq) for seq in sequences))
+
+
+@pytest.fixture
+def bounded_search(monkeypatch):
+    """Fail, rather than hang, when the local search stops terminating:
+    an applied swap of equal value would be undone by the next sweep."""
+    calls = 0
+
+    def counted(jobs):
+        nonlocal calls
+        calls += 1
+        assert calls < 200_000, "the local search does not terminate"
+        return evaluate_sequence(jobs)
+
+    monkeypatch.setattr(solvers, "evaluate_sequence", counted)
+
+
+def test_improve_by_exchanges_matches_replaced_loop(bounded_search):
+    rng = random.Random(17)
+    kinds = set()
+    for _ in range(400):
+        inst, schedule = exchange_case(rng)
+        new = outcome(improve_by_exchanges, schedule, inst)
+        assert new == outcome(dyadic_improve_by_exchanges, schedule, inst)
+        kinds.add(new[0])
+        if new[0] != "ok":
+            continue
+        for seq in new[1].sequences:  # a local optimum under the Fraction oracle
+            pairs = [(frac(inst.job(j).p), frac(inst.job(j).w)) for j in seq]
+            for pos in range(len(pairs) - 1):
+                swapped = pairs[:pos] + [pairs[pos + 1], pairs[pos]] + pairs[pos + 2 :]
+                if oracle_first_violation([p for p, _ in swapped]) is None:
+                    assert oracle_value(swapped) <= oracle_value(pairs)
+    assert kinds == {"ok", "InfeasibleScheduleError"}
+
+
+def test_improve_by_exchanges_skips_equal_and_infeasible_swaps(bounded_search):
+    # a, b are identical; c, d would be infeasible in any other order
+    inst = Instance((Job("a", 5, 2), Job("b", 5, 2), Job("c", 1, 1), Job("d", 16, 3)), 2)
+    schedule = SyncSchedule((("a", "b"), ("c", "d")))
+    assert improve_by_exchanges(schedule, inst) == schedule
+    assert dyadic_improve_by_exchanges(schedule, inst) == schedule
