@@ -164,3 +164,13 @@ def search(
 
     place(0, 0)
     return best_total, best_assign, tuple(perms[best_masks[proc]] for proc in range(1, m + 1))
+
+
+def _labelling_count(n: int, m: int) -> int:
+    """The leaves of ``search``'s sweep.  With a phantom job in the private
+    block, each is a partition of n + 1 items into b blocks, b - 1 <= min(m, n)
+    of them processors: the sum of S(n + 1, b) over those b."""
+    row = [1]  # Stirling numbers of the second kind S(size, b), b = 0..size
+    for _ in range(n + 1):
+        row = [0] + [b * s + prev for b, (prev, s) in enumerate(zip(row, row[1:] + [0]), 1)]
+    return sum(row[1 : min(m, n) + 2])

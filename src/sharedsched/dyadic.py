@@ -18,15 +18,14 @@ denominators of their inputs by one power of two
 
 from __future__ import annotations
 
+import operator
 import re
 import sys
 from typing import Sequence
 
 __all__ = ["Dyadic", "as_dyadic", "ZERO", "ONE"]
 
-_INT_RE = re.compile(r"^-?\d+$")
-_FRAC_RE = re.compile(r"^(-?\d+)/(\d+)$")
-_POW_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
+_LITERAL_RE = re.compile(r"^(-?\d+)(?:/(?:2\^(\d+)|(\d+)))?$")
 
 # hash(int) and hash(Fraction) reduce modulo the Mersenne prime 2**_HASH_BITS - 1
 _HASH_BITS = sys.hash_info.modulus.bit_length()
@@ -62,18 +61,16 @@ class Dyadic:
     @classmethod
     def from_string(cls, text: str) -> "Dyadic":
         """Parse ``"n"``, ``"n/d"`` (d a power of two) or ``"n/2^k"``."""
-        if _INT_RE.match(text):
-            return cls(int(text))
-        m = _POW_RE.match(text)
-        if m:
-            return cls(int(m.group(1)), int(m.group(2)))
-        m = _FRAC_RE.match(text)
-        if m:
-            den = int(m.group(2))
+        match = _LITERAL_RE.match(text)
+        if not match:
+            raise ValueError(f"not a dyadic literal: {text!r}")
+        num, exp, den = match.groups()
+        if den is not None:
+            den = int(den)
             if den <= 0 or den & (den - 1):
                 raise ValueError(f"denominator is not a power of two: {text!r}")
-            return cls(int(m.group(1)), den.bit_length() - 1)
-        raise ValueError(f"not a dyadic literal: {text!r}")
+            exp = den.bit_length() - 1
+        return cls(int(num), int(exp or 0))
 
     def __str__(self) -> str:
         if self.exponent == 0:
@@ -89,9 +86,8 @@ class Dyadic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        e = max(self.exponent, other.exponent)
-        m = (self.mantissa << (e - self.exponent)) + (other.mantissa << (e - other.exponent))
-        return Dyadic(m, e)
+        (a, b), e = _clear_denominators((self, other))
+        return Dyadic(a + b, e)
 
     __radd__ = __add__
 
@@ -99,9 +95,8 @@ class Dyadic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        e = max(self.exponent, other.exponent)
-        m = (self.mantissa << (e - self.exponent)) - (other.mantissa << (e - other.exponent))
-        return Dyadic(m, e)
+        (a, b), e = _clear_denominators((self, other))
+        return Dyadic(a - b, e)
 
     def __rsub__(self, other) -> "Dyadic":
         other = _coerce(other)
@@ -136,41 +131,30 @@ class Dyadic:
 
     # -- comparison -----------------------------------------------------------
 
-    def _cmp(self, other: "Dyadic") -> int:
-        e = max(self.exponent, other.exponent)
-        a = self.mantissa << (e - self.exponent)
-        b = other.mantissa << (e - other.exponent)
-        return (a > b) - (a < b)
-
     def __eq__(self, other) -> bool:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
         return self.mantissa == other.mantissa and self.exponent == other.exponent
 
-    def __lt__(self, other):
+    def _compare(self, other, holds):
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._cmp(other) < 0
+        (a, b), _ = _clear_denominators((self, other))
+        return holds(a, b)
+
+    def __lt__(self, other):
+        return self._compare(other, operator.lt)
 
     def __le__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) <= 0
+        return self._compare(other, operator.le)
 
     def __gt__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) > 0
+        return self._compare(other, operator.gt)
 
     def __ge__(self, other):
-        other = _coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self._cmp(other) >= 0
+        return self._compare(other, operator.ge)
 
     def __hash__(self) -> int:
         # equal to hash(Fraction(mantissa, 2**exponent)), hence to hash(int)
@@ -207,13 +191,12 @@ def as_dyadic(value) -> Dyadic:
     Floats are rejected: binary floats would silently smuggle rounding
     into what must stay an exact computation.
     """
-    if isinstance(value, Dyadic):
-        return value
-    if isinstance(value, int) and not isinstance(value, bool):
-        return Dyadic(value)
     if isinstance(value, str):
         return Dyadic.from_string(value)
-    raise TypeError(f"cannot interpret {type(value).__name__} as a dyadic rational")
+    result = _coerce(value)
+    if result is NotImplemented:
+        raise TypeError(f"cannot interpret {type(value).__name__} as a dyadic rational")
+    return result
 
 
 def _clear_denominators(values: Sequence[Dyadic]) -> tuple[list[int], int]:

@@ -12,11 +12,12 @@ and contributes overlap ``(p_i - T_i) / 2``.  The order is feasible when
 get a zero-length shared interval, so such orders are rejected rather
 than silently dropping the job.
 
-This module evaluates schedules through that recurrence and through an
-equivalent bilinear matrix form, computes the exact value change of an
-adjacent transposition, and provides the structural predicates (V-shape,
-processing-time/weight inclusivity, reverse duality) used by the solvers
-and the hardness generator.
+This module evaluates schedules through that recurrence, run by one integer
+walk (``_halving``) that also finds the first infeasible position, and
+through an equivalent bilinear matrix form.  It computes the exact value
+change of an adjacent transposition and provides the structural predicates
+(V-shape, processing-time/weight inclusivity, reverse duality) used by the
+solvers and the hardness generator.
 """
 
 from __future__ import annotations
@@ -116,9 +117,10 @@ def _weights(items: Iterable) -> list[Dyadic]:
     return [item.w if isinstance(item, Job) else as_dyadic(item) for item in items]
 
 
-def _halving(ps: Sequence[Dyadic]) -> tuple[list[int], list[int], int]:
-    """The recurrence on integers: ``(ints, times, s)`` with ``ps[i] ==
-    ints[i] / 2**s`` and ``T_{i+1} == times[i] / 2**s`` for i = 0..k.
+def _halving(ps: Sequence[Dyadic]) -> tuple[list[int], int, int | None]:
+    """The recurrence on integers: ``(times, s, bad)`` with ``T_{i+1} ==
+    times[i] / 2**s`` for i = 0..k, and ``bad`` the first 1-based
+    position with ``p_i <= T_i`` (None when the order is feasible).
 
     ``s`` is the largest exponent among the p plus k, so every halving
     step is an exact shift (T_{i+1} has at most i more binary digits
@@ -126,32 +128,31 @@ def _halving(ps: Sequence[Dyadic]) -> tuple[list[int], list[int], int]:
     """
     ints, e = _clear_denominators(ps)
     k = len(ints)
-    ints = [p << k for p in ints]
     times = [0]
-    t = 0
-    for p in ints:
-        t = (t + p) >> 1
-        times.append(t)
-    return ints, times, e + k
+    bad = None
+    for i, p in enumerate(ints, start=1):
+        p <<= k
+        if p <= times[-1] and bad is None:
+            bad = i
+        times.append((times[-1] + p) >> 1)
+    return times, e + k, bad
 
 
-def _first_violation(ints: list[int], times: list[int]) -> int | None:
-    for i, (p, t) in enumerate(zip(ints, times), start=1):
-        if p <= t:
-            return i
-    return None
+def _ascending(values: list[Dyadic]) -> list[Dyadic]:
+    """``values`` in stable ascending order, sorted on cleared integer keys."""
+    keys, _ = _clear_denominators(values)
+    return [values[i] for i in sorted(range(len(values)), key=keys.__getitem__)]
 
 
 def start_times(perm: Sequence) -> list[Dyadic]:
     """T_1..T_{k+1} for a job order: T_1 = 0, T_{i+1} = (T_i + p_i)/2."""
-    _, times, s = _halving(_times(perm))
+    times, s, _ = _halving(_times(perm))
     return [Dyadic(t, s) for t in times]
 
 
 def check_feasible(perm: Sequence) -> int | None:
     """Return the first 1-based position with ``p_i <= T_i``, or None if ok."""
-    ints, times, _ = _halving(_times(perm))
-    return _first_violation(ints, times)
+    return _halving(_times(perm))[2]
 
 
 def _weighted_sum(times: list[int], ws: list[int]) -> int:
@@ -161,7 +162,7 @@ def _weighted_sum(times: list[int], ws: list[int]) -> int:
 
 def evaluate_sequence(perm: Sequence) -> Dyadic:
     """Total weighted overlap of one shared-processor order via the recurrence."""
-    _, times, s = _halving(_times(perm))
+    times, s, _ = _halving(_times(perm))
     ws, f = _clear_denominators(_weights(perm))
     return Dyadic(_weighted_sum(times, ws), s + f)
 
@@ -176,26 +177,21 @@ def evaluate(schedule: SyncSchedule, inst: Instance) -> EvalReport:
     if schedule.m != inst.m:
         raise InstanceError(f"schedule has {schedule.m} processors, instance has {inst.m}")
     overlaps = {job.id: ZERO for job in inst.jobs}
-    total, scale = 0, 0  # the weighted total is total / 2**scale
+    total = ZERO
     processors = []
     for proc_idx, seq in enumerate(schedule.sequences, start=1):
         jobs = [inst.job(job_id) for job_id in seq]
-        ints, times, s = _halving([job.p for job in jobs])
-        violation = _first_violation(ints, times)
-        if violation is not None:
-            raise InfeasibleScheduleError(violation, seq[violation - 1], proc_idx)
+        times, s, bad = _halving([job.p for job in jobs])
+        if bad is not None:
+            raise InfeasibleScheduleError(bad, seq[bad - 1], proc_idx)
         ws, f = _clear_denominators([job.w for job in jobs])
-        weighted = _weighted_sum(times, ws)
-        if s + f > scale:
-            total <<= s + f - scale
-            scale = s + f
-        total += weighted << (scale - s - f)
+        total = total + Dyadic(_weighted_sum(times, ws), s + f)
         bars = [Dyadic(b - a, s) for a, b in zip(times, times[1:])]
         overlaps.update(zip(seq, bars))
         processors.append(
             ProcessorEval(proc_idx, tuple(seq), tuple(Dyadic(t, s) for t in times), tuple(bars))
         )
-    return EvalReport(tuple(processors), overlaps, Dyadic(total, scale))
+    return EvalReport(tuple(processors), overlaps, total)
 
 
 def lower_halving_matrix(k: int) -> tuple[tuple[Dyadic, ...], ...]:
@@ -285,11 +281,11 @@ def exchange_delta(perm: Sequence, i: int) -> Dyadic:
 
 
 def _is_inclusive(values: list[Dyadic]) -> bool:
-    values = sorted(values)
+    values = _ascending(values)
     if len(values) <= 1:
         return True
     # makespan of all-but-the-shortest in ascending order
-    _, times, s = _halving(values[1:])
+    times, s, _ = _halving(values[1:])
     return Dyadic(times[-1], s) < values[0]
 
 

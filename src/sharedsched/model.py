@@ -117,6 +117,19 @@ class Instance:
         return all(job.w == self.jobs[0].w for job in self.jobs) if self.jobs else True
 
 
+def _job_id(entry, idx: int, *keys: str) -> str:
+    """The string id of ``jobs[idx]``, an object that must hold "id" and ``keys``."""
+    if not isinstance(entry, dict):
+        raise InstanceError(f"jobs[{idx}] must be an object")
+    missing = {"id", *keys} - set(entry)
+    if missing:
+        raise InstanceError(f"jobs[{idx}] missing keys: {sorted(missing)}")
+    job_id = entry["id"]
+    if not isinstance(job_id, str):
+        raise InstanceError(f"jobs[{idx}]: id must be a string")
+    return job_id
+
+
 def parse_instance(text: bytes | str) -> Instance:
     """Parse and validate the JSON instance format."""
     data = _load_json(text)
@@ -132,17 +145,9 @@ def parse_instance(text: bytes | str) -> Instance:
         raise InstanceError('"jobs" must be a list')
     jobs = []
     for idx, entry in enumerate(raw_jobs):
-        if not isinstance(entry, dict):
-            raise InstanceError(f"jobs[{idx}] must be an object")
-        missing = {"id", "p", "w"} - set(entry)
-        if missing:
-            raise InstanceError(f"jobs[{idx}] missing keys: {sorted(missing)}")
-        job_id = entry["id"]
-        if not isinstance(job_id, str):
-            raise InstanceError(f"jobs[{idx}]: id must be a string")
         jobs.append(
             Job(
-                job_id,
+                _job_id(entry, idx, "p", "w"),
                 json_to_dyadic(entry["p"], f"jobs[{idx}].p"),
                 json_to_dyadic(entry["w"], f"jobs[{idx}].w"),
             )

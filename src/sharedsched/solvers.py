@@ -7,7 +7,7 @@ processing time, deal them round-robin across the m shared processors
 1/2, 1/4, ..., and the first ``n - (ceil(n/m) - 1) * m`` processors get
 one extra job), then run each processor's jobs in ascending order.  With
 unit weights an order's value telescopes to its makespan.  The
-unit-weight values and the local search evaluate through ``engine._halving``.
+unit-weight values and the local search walk each order once, in ``engine._halving``.
 
 ``brute_force`` is the exact oracle: it finds the best assignment of
 each job to {private-only, processor 1..m} with the best feasible
@@ -24,8 +24,8 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .dyadic import ZERO, Dyadic, _clear_denominators
-from .engine import SyncSchedule, _halving, _times, check_feasible, evaluate, evaluate_sequence
-from .model import Instance
+from .engine import SyncSchedule, _ascending, _halving, _times, _weighted_sum, evaluate
+from .model import Instance, Job
 
 __all__ = [
     "PositionalWeights",
@@ -114,10 +114,10 @@ def equal_weights_value(partition: Sequence[Sequence]) -> Dyadic:
     total = ZERO
     for ps in groups:
         # with unit weights the total overlap telescopes to the makespan T_{k+1}
-        ints, times, s = _halving(ps)
-        for idx in range(1, len(ints)):
-            if ints[idx] < ints[idx - 1]:
+        for idx in range(1, len(ps)):
+            if ps[idx] < ps[idx - 1]:
                 raise ValueError(f"list not ascending: {ps[idx - 1]} precedes {ps[idx]}")
+        times, s, _ = _halving(ps)
         total = total + Dyadic(times[-1], s)
     return total
 
@@ -125,9 +125,7 @@ def equal_weights_value(partition: Sequence[Sequence]) -> Dyadic:
 def single_processor_ascending(jobs: Sequence) -> Dyadic:
     """Best single-shared-processor value for unit weights: run jobs in
     ascending order, yielding p_n/2 + p_{n-1}/4 + ... + p_1/2^n."""
-    ps = _times(jobs)
-    keys, _ = _clear_denominators(ps)
-    _, times, s = _halving([ps[i] for i in sorted(range(len(ps)), key=keys.__getitem__)])
+    times, s, _ = _halving(_ascending(_times(jobs)))
     return Dyadic(times[-1], s)
 
 
@@ -153,14 +151,14 @@ def brute_force(
         raise InstanceTooLargeError(
             f"{n} jobs exceeds the limit of {limits.max_jobs}; raise max_jobs to force"
         )
+    from . import _permsearch  # only brute loads the search module
     order_work = sum(math.comb(n, k) * math.factorial(k) for k in range(n + 1))
-    assign_work = (inst.m + 1) ** n
+    assign_work = _permsearch._labelling_count(n, inst.m)
     if order_work + assign_work > limits.max_candidates:
         raise InstanceTooLargeError(
             f"about {order_work + assign_work} candidates exceeds "
             f"max_candidates = {limits.max_candidates}"
         )
-    from . import _permsearch  # only brute loads the search module
     ps, p_exp = _clear_denominators([job.p for job in inst.jobs])
     ws, w_exp = _clear_denominators([job.w for job in inst.jobs])
     best_num, _, orders = _permsearch.search(ps, ws, inst.m)
@@ -185,13 +183,22 @@ def improve_by_exchanges(schedule: SyncSchedule, inst: Instance) -> SyncSchedule
     while improved:
         improved = False
         for jobs in orders:
-            value = evaluate_sequence(jobs)
+            value = _scaled_value(jobs)
             for pos in range(len(jobs) - 1):
                 swapped = jobs[:pos] + [jobs[pos + 1], jobs[pos]] + jobs[pos + 2 :]
-                if check_feasible(swapped) is None:
-                    swapped_value = evaluate_sequence(swapped)
-                    if swapped_value > value:
-                        jobs[:] = swapped
-                        value = swapped_value
-                        improved = True
+                swapped_value = _scaled_value(swapped)
+                if swapped_value is not None and swapped_value > value:
+                    jobs[:] = swapped
+                    value = swapped_value
+                    improved = True
     return SyncSchedule(tuple(tuple(job.id for job in jobs) for jobs in orders))
+
+
+def _scaled_value(jobs: list[Job]) -> int | None:
+    """An order's value times ``2**(s + f)``, or None when it is infeasible;
+    s and f depend only on the job set, which every order of it shares."""
+    times, _, bad = _halving([job.p for job in jobs])
+    if bad is not None:
+        return None
+    ws, _ = _clear_denominators([job.w for job in jobs])
+    return _weighted_sum(times, ws)

@@ -41,7 +41,7 @@ from typing import Mapping
 
 from .dyadic import Dyadic, _clear_denominators, as_dyadic
 from .engine import SyncSchedule, evaluate
-from .model import Instance, InstanceError, _load_json, json_to_dyadic
+from .model import Instance, InstanceError, _job_id, _load_json, json_to_dyadic
 
 __all__ = [
     "JobPlacement",
@@ -681,14 +681,7 @@ def parse_general_schedule(text: bytes | str) -> GeneralSchedule:
         raise InstanceError('general schedule must be an object with a "jobs" list')
     placements = {}
     for idx, entry in enumerate(data["jobs"]):
-        if not isinstance(entry, dict):
-            raise InstanceError(f"jobs[{idx}] must be an object")
-        missing = {"id", "shared_processor", "shared_intervals", "private_completion"} - set(entry)
-        if missing:
-            raise InstanceError(f"jobs[{idx}] missing keys: {sorted(missing)}")
-        job_id = entry["id"]
-        if not isinstance(job_id, str):
-            raise InstanceError(f"jobs[{idx}]: id must be a string")
+        job_id = _job_id(entry, idx, "shared_processor", "shared_intervals", "private_completion")
         if job_id in placements:
             raise InstanceError(f"duplicate job id {job_id!r} in schedule")
         proc = entry["shared_processor"]

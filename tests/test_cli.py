@@ -10,6 +10,9 @@ import pytest
 
 import sharedsched
 from sharedsched.cli import main
+from sharedsched.engine import serialize_sync_schedule
+from sharedsched.model import parse_instance
+from sharedsched.solvers import SearchLimits, brute_force
 
 FIVE_JOBS = (
     '{"m": 2, "jobs": ['
@@ -98,6 +101,24 @@ def test_brute_nonpositive_max_jobs_exits_2(workdir, capsys, value):
         main(["brute", inst, "--max-jobs", value])
     assert exc.value.code == 2
     assert "--max-jobs" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n,m", [(8, 7), (8, 8), (3, 300)])
+def test_brute_accepts_processors_past_the_job_count(workdir, capsys, n, m):
+    _, write = workdir
+    jobs = ",".join(
+        f'{{"id":"j{i}","p":"{7 + 5 * i}/{1 << i % 3}","w":"{1 + i % 3}"}}' for i in range(n)
+    )
+    code, out, _ = run(capsys, "brute", write("wide.json", f'{{"m":{m},"jobs":[{jobs}]}}'))
+    assert code == 0
+    data = json.loads(out)
+    inst = parse_instance(f'{{"m":{m},"jobs":[{jobs}]}}')
+    schedule, value = brute_force(inst, SearchLimits(max_candidates=10**9))
+    assert data == {"schedule": json.loads(serialize_sync_schedule(schedule)), "value": str(value)}
+    if m >= n:
+        _, exact = brute_force(parse_instance(f'{{"m":{n},"jobs":[{jobs}]}}'))
+        assert data["value"] == str(exact)
+        assert all(not proc["order"] for proc in data["schedule"]["processors"][n:])
 
 
 def test_brute_empty_instance(workdir, capsys):

@@ -10,6 +10,7 @@ from sharedsched.model import (
     parse_instance,
     serialize_instance,
 )
+from sharedsched.transforms import parse_general_schedule
 
 
 def test_parse_minimal():
@@ -51,6 +52,40 @@ def test_parse_errors(text, fragment):
     with pytest.raises(InstanceError) as err:
         parse_instance(text)
     assert fragment in str(err.value)
+
+
+_INSTANCE = '{"m":1,"jobs":[{"id":"a","p":"4","w":"1"},%s]}'
+_GENERAL = (
+    '{"jobs":[{"id":"a","shared_processor":null,"shared_intervals":[],'
+    '"private_completion":"4"},%s]}'
+)
+
+
+@pytest.mark.parametrize(
+    "parse,text,entry,message",
+    [
+        (parse_instance, _INSTANCE, "7", "jobs[1] must be an object"),
+        (parse_instance, _INSTANCE, '{"w":"1"}', "jobs[1] missing keys: ['id', 'p']"),
+        (parse_instance, _INSTANCE, '{"id":3,"p":"4","w":"1"}', "jobs[1]: id must be a string"),
+        (parse_general_schedule, _GENERAL, "[]", "jobs[1] must be an object"),
+        (
+            parse_general_schedule,
+            _GENERAL,
+            '{"id":"b"}',
+            "jobs[1] missing keys: ['private_completion', 'shared_intervals', 'shared_processor']",
+        ),
+        (
+            parse_general_schedule,
+            _GENERAL,
+            '{"id":null,"shared_processor":null,"shared_intervals":[],"private_completion":"1"}',
+            "jobs[1]: id must be a string",
+        ),
+    ],
+)
+def test_job_entry_errors_in_both_formats(parse, text, entry, message):
+    with pytest.raises(InstanceError) as err:
+        parse(text % entry)
+    assert str(err.value) == message
 
 
 def test_roundtrip_canonical():

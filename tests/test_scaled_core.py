@@ -459,16 +459,18 @@ def exchange_case(rng: random.Random):
 @pytest.fixture
 def bounded_search(monkeypatch):
     """Fail, rather than hang, when the local search stops terminating:
-    an applied swap of equal value would be undone by the next sweep."""
+    an applied swap of equal value would be undone by the next sweep.
+    Counts the walks of the recurrence, one per candidate order."""
     calls = 0
+    halving = solvers._halving
 
-    def counted(jobs):
+    def counted(ps):
         nonlocal calls
         calls += 1
         assert calls < 200_000, "the local search does not terminate"
-        return evaluate_sequence(jobs)
+        return halving(ps)
 
-    monkeypatch.setattr(solvers, "evaluate_sequence", counted)
+    monkeypatch.setattr(solvers, "_halving", counted)
 
 
 def test_improve_by_exchanges_matches_replaced_loop(bounded_search):
@@ -496,3 +498,15 @@ def test_improve_by_exchanges_skips_equal_and_infeasible_swaps(bounded_search):
     schedule = SyncSchedule((("a", "b"), ("c", "d")))
     assert improve_by_exchanges(schedule, inst) == schedule
     assert dyadic_improve_by_exchanges(schedule, inst) == schedule
+
+
+def test_improve_by_exchanges_walks_each_candidate_once(monkeypatch):
+    # equal weights in ascending order are already optimal: exactly one sweep
+    jobs = tuple(Job(f"j{i}", Dyadic(2 * i + 3, i % 3), 5) for i in range(8))
+    inst = Instance(jobs, 1)
+    schedule = SyncSchedule((tuple(job.id for job in sorted(jobs, key=lambda j: j.p)),))
+    calls = []
+    halving = solvers._halving
+    monkeypatch.setattr(solvers, "_halving", lambda ps: calls.append(len(ps)) or halving(ps))
+    assert improve_by_exchanges(schedule, inst) == schedule
+    assert calls == [8] * 8  # the current order, then its 7 adjacent swaps

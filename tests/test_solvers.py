@@ -1,5 +1,6 @@
 """Equal-weight solver, exhaustive oracle, local search, search differentials."""
 
+import random
 from fractions import Fraction
 from itertools import product
 
@@ -213,6 +214,36 @@ def test_equal_weights_brute_agreement(rng):
         assert evaluate(schedule, inst).total == brute_value
 
 
+@pytest.mark.parametrize("n,m", [(9, 2), (9, 3), (9, 4), (10, 2)])
+def test_equal_weights_brute_agreement_past_eight_jobs(n, m):
+    rng = random.Random(n * 10 + m)
+    for _ in range(2):
+        w = D(rng.randint(1, 9), rng.randint(0, 2))
+        jobs = [(f"j{i}", D(rng.randint(1, 10**4), rng.randint(0, 3)), w) for i in range(n)]
+        inst = make_instance(jobs, m)
+        _, brute_value = brute_force(inst, SearchLimits(max_jobs=10))
+        assert evaluate(solve_equal_weights(inst), inst).total == brute_value
+
+
+def test_equal_weight_value_is_the_positional_weights_sum(rng):
+    """The paper's theorem: the optimum pairs the processing times in
+    descending order with the positional weights, times the common weight."""
+    sizes = [0, 1, 2, 3, 7, 8, 9, 16, 17, 64, 255, 2000]
+    for idx in range(48):
+        n, m = sizes[idx % len(sizes)], rng.randint(1, 8)
+        pool = [D(rng.randint(1, 50), rng.randint(0, 4)) for _ in range(4)]
+        ps = [
+            rng.choice(pool) if idx % 2 else D(rng.randint(1, 10**6), rng.randint(0, 8))
+            for _ in range(n)
+        ]
+        w = D(rng.randint(1, 9), rng.randint(0, 2))
+        inst = make_instance([(f"j{i}", p, w) for i, p in enumerate(ps)], m)
+        weights = positional_weights(n, m).weights
+        p_desc = sorted((frac(p) for p in ps), reverse=True)
+        expected = frac(w) * sum(p * frac(q) for p, q in zip(p_desc, weights))
+        assert frac(evaluate(solve_equal_weights(inst), inst).total) == expected
+
+
 # -- search differentials --------------------------------------------------------
 
 
@@ -296,6 +327,35 @@ def test_search_matches_product_sweep(rng):
     cases += _tie_heavy_cases(rng, 40, 7, 4)
     for ps, ws, m in cases:
         assert _permsearch.search(ps, ws, m) == _product_sweep(ps, ws, m), (ps, ws, m)
+
+
+def _sweep_leaves(n, m):
+    """The labellings the assignment sweep visits: each job private (0),
+    on an opened processor, or on the next one while fewer than m are open."""
+    labellings = [()]
+    for _ in range(n):
+        labellings = [
+            lab + (proc,) for lab in labellings for proc in range(min(max(lab, default=0) + 1, m) + 1)
+        ]
+    return labellings
+
+
+def _partitions(n, m):
+    """Distinct (private jobs, processor blocks) over all (m+1)^n assignments."""
+    seen = set()
+    for assign in product(range(m + 1), repeat=n):
+        blocks = [frozenset(j for j in range(n) if assign[j] == proc) for proc in range(m + 1)]
+        seen.add((blocks[0], frozenset(blocks[1:]) - {frozenset()}))
+    return seen
+
+
+def test_labelling_count_matches_enumeration():
+    for n in range(8):
+        for m in range(1, 10):
+            leaves = _sweep_leaves(n, m)
+            assert _permsearch._labelling_count(n, m) == len(leaves), (n, m)
+            if n <= 4:  # one leaf per partition: relabellings are not revisited
+                assert len(set(leaves)) == len(leaves) == len(_partitions(n, m))
 
 
 def test_pure_kernel_tie_break():
