@@ -12,8 +12,9 @@ Subcommands:
 * ``gantt``        time-proportional ASCII chart
 
 Exit codes are stable: 0 ok, 2 parse/validation error, 3 wrong solver
-for the instance, 4 size limit exceeded (including a value too long to
-print in decimal), 5 infeasible or invalid schedule.  All numeric output
+for the instance, 4 size limit exceeded (including a literal whose
+exponent is above the parser's bound and a value too long to print in
+decimal), 5 infeasible or invalid schedule.  All numeric output
 is exact dyadic strings; identical inputs produce byte-identical output.
 """
 
@@ -71,17 +72,25 @@ def _schedule_json(schedule: engine.SyncSchedule) -> dict:
 
 
 def _report_json(report: engine.EvalReport) -> dict:
-    return {
-        "processors": [
+    processors = []
+    texts = {}  # job id -> its formatted overlap, shared by both listings
+    for proc in report.processors:
+        overlaps = [_text(t) for t in proc.overlaps]
+        texts.update(zip(proc.order, overlaps))
+        processors.append(
             {
                 "id": proc.id,
                 "order": list(proc.order),
                 "start_times": [_text(t) for t in proc.start_times],
-                "overlaps": [_text(t) for t in proc.overlaps],
+                "overlaps": overlaps,
             }
-            for proc in report.processors
-        ],
-        "job_overlaps": {job_id: _text(t) for job_id, t in report.job_overlaps.items()},
+        )
+    return {
+        "processors": processors,
+        "job_overlaps": {
+            job_id: texts[job_id] if job_id in texts else _text(t)
+            for job_id, t in report.job_overlaps.items()
+        },
         "total": _text(report.total),
     }
 
@@ -367,7 +376,7 @@ def _exit_code(exc: Exception) -> int | None:
     Classes are looked up in ``sys.modules`` only: a module never imported
     cannot have raised, and importing it here would cost every command.
     """
-    if isinstance(exc, OutputTooLargeError):
+    if isinstance(exc, (OutputTooLargeError, OverflowError)):
         return EXIT_TOO_LARGE
     for module, name, code in _EXIT_CODES:
         cls = getattr(sys.modules.get(f"{__package__}.{module}"), name, None)

@@ -13,7 +13,14 @@ Values are immutable and safe to share between threads.
 Hot loops elsewhere in the package do not use this type: they clear the
 denominators of their inputs by one power of two
 (:func:`_clear_denominators`), run on plain integers, and build a
-``Dyadic`` once per result.
+``Dyadic`` once per result through :func:`_make`, which skips the public
+constructor's type checks.
+
+Literals are ``n``, ``n/d`` (``d`` a power of two) or ``n/2^k``, where
+``n`` is an optional ``-`` followed by ASCII digits and ``d``, ``k`` are
+ASCII digits; nothing else, not even surrounding whitespace, is accepted.
+A literal's exponent (``k``, or the bit length of ``d`` minus one) may
+not exceed :data:`_MAX_EXPONENT`.
 """
 
 from __future__ import annotations
@@ -25,7 +32,15 @@ from typing import Sequence
 
 __all__ = ["Dyadic", "as_dyadic", "ZERO", "ONE"]
 
-_LITERAL_RE = re.compile(r"^(-?\d+)(?:/(?:2\^(\d+)|(\d+)))?$")
+_LITERAL_RE = re.compile(r"(-?[0-9]+)(?:/(?:2\^([0-9]+)|([0-9]+)))?")
+
+# The largest exponent a literal may carry.  Arithmetic aligns operands on
+# the largest exponent among them, so one literal such as "1/2^20000000000"
+# would otherwise make every value in its computation that many bits wide.
+# 2**13 keeps a literal's denominator (at most 2467 decimal digits) within
+# Python's default int-from-str limit of 4300 digits, which already bounds
+# its numerator, and lies far above what the halving recurrence needs.
+_MAX_EXPONENT = 8192
 
 # hash(int) and hash(Fraction) reduce modulo the Mersenne prime 2**_HASH_BITS - 1
 _HASH_BITS = sys.hash_info.modulus.bit_length()
@@ -43,15 +58,7 @@ class Dyadic:
             raise TypeError(f"exponent must be an int, got {type(exponent).__name__}")
         if exponent < 0:
             raise ValueError("exponent must be non-negative")
-        if mantissa == 0:
-            exponent = 0
-        elif exponent:
-            # strip factors of two shared with the denominator
-            shift = min(exponent, ((mantissa & -mantissa).bit_length() - 1))
-            mantissa >>= shift
-            exponent -= shift
-        object.__setattr__(self, "mantissa", mantissa)
-        object.__setattr__(self, "exponent", exponent)
+        _store(self, mantissa, exponent)
 
     def __setattr__(self, name, value):
         raise AttributeError("Dyadic values are immutable")
@@ -60,17 +67,29 @@ class Dyadic:
 
     @classmethod
     def from_string(cls, text: str) -> "Dyadic":
-        """Parse ``"n"``, ``"n/d"`` (d a power of two) or ``"n/2^k"``."""
-        match = _LITERAL_RE.match(text)
+        """Parse ``"n"``, ``"n/d"`` (d a power of two) or ``"n/2^k"``.
+
+        Raises ``ValueError`` for any other text and ``OverflowError`` for
+        an exponent above :data:`_MAX_EXPONENT`.
+        """
+        match = _LITERAL_RE.fullmatch(text)
         if not match:
             raise ValueError(f"not a dyadic literal: {text!r}")
         num, exp, den = match.groups()
-        if den is not None:
+        if den is None:
+            mantissa = int(num)
+            exponent = int(exp) if exp else 0
+        else:
             den = int(den)
             if den <= 0 or den & (den - 1):
                 raise ValueError(f"denominator is not a power of two: {text!r}")
-            exp = den.bit_length() - 1
-        return cls(int(num), int(exp or 0))
+            exponent = den.bit_length() - 1
+            mantissa = int(num)
+        if exponent > _MAX_EXPONENT:
+            raise OverflowError(
+                f"exponent {exponent} exceeds the limit of {_MAX_EXPONENT}: {text!r}"
+            )
+        return _store(_new(cls), mantissa, exponent)
 
     def __str__(self) -> str:
         if self.exponent == 0:
@@ -87,7 +106,7 @@ class Dyadic:
         if other is NotImplemented:
             return NotImplemented
         (a, b), e = _clear_denominators((self, other))
-        return Dyadic(a + b, e)
+        return _make(a + b, e)
 
     __radd__ = __add__
 
@@ -96,7 +115,7 @@ class Dyadic:
         if other is NotImplemented:
             return NotImplemented
         (a, b), e = _clear_denominators((self, other))
-        return Dyadic(a - b, e)
+        return _make(a - b, e)
 
     def __rsub__(self, other) -> "Dyadic":
         other = _coerce(other)
@@ -108,26 +127,26 @@ class Dyadic:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return Dyadic(self.mantissa * other.mantissa, self.exponent + other.exponent)
+        return _make(self.mantissa * other.mantissa, self.exponent + other.exponent)
 
     __rmul__ = __mul__
 
     def __neg__(self) -> "Dyadic":
-        return Dyadic(-self.mantissa, self.exponent)
+        return _make(-self.mantissa, self.exponent)
 
     def __abs__(self) -> "Dyadic":
-        return Dyadic(abs(self.mantissa), self.exponent)
+        return _make(abs(self.mantissa), self.exponent)
 
     def half(self) -> "Dyadic":
         """Exact division by two."""
-        return Dyadic(self.mantissa, self.exponent + 1)
+        return _make(self.mantissa, self.exponent + 1)
 
     def mul_pow2(self, k: int) -> "Dyadic":
         """Exact multiplication by ``2**k`` (``k`` may be negative)."""
         e = self.exponent - k
         if e >= 0:
-            return Dyadic(self.mantissa, e)
-        return Dyadic(self.mantissa << -e, 0)
+            return _make(self.mantissa, e)
+        return _make(self.mantissa << -e, 0)
 
     # -- comparison -----------------------------------------------------------
 
@@ -181,7 +200,7 @@ def _coerce(value):
     if isinstance(value, Dyadic):
         return value
     if isinstance(value, int) and not isinstance(value, bool):
-        return Dyadic(value)
+        return _make(value, 0)
     return NotImplemented
 
 
@@ -197,6 +216,33 @@ def as_dyadic(value) -> Dyadic:
     if result is NotImplemented:
         raise TypeError(f"cannot interpret {type(value).__name__} as a dyadic rational")
     return result
+
+
+_new = object.__new__
+_set_mantissa = Dyadic.mantissa.__set__
+_set_exponent = Dyadic.exponent.__set__
+
+
+def _store(value: Dyadic, mantissa: int, exponent: int) -> Dyadic:
+    """Put ``mantissa / 2**exponent`` into ``value`` in canonical form."""
+    if exponent and not mantissa & 1:
+        if mantissa:
+            # strip factors of two shared with the denominator
+            shift = min(exponent, (mantissa & -mantissa).bit_length() - 1)
+            mantissa >>= shift
+            exponent -= shift
+        else:
+            exponent = 0
+    _set_mantissa(value, mantissa)
+    _set_exponent(value, exponent)
+    return value
+
+
+def _make(mantissa: int, exponent: int) -> Dyadic:
+    """``Dyadic(mantissa, exponent)`` for ints the caller knows to be an
+    int and a non-negative int: the trusted constructor of every value the
+    package computes, without the public constructor's type checks."""
+    return _store(_new(Dyadic), mantissa, exponent)
 
 
 def _clear_denominators(values: Sequence[Dyadic]) -> tuple[list[int], int]:

@@ -26,7 +26,7 @@ import json
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from .dyadic import ZERO, Dyadic, _clear_denominators, as_dyadic
+from .dyadic import ZERO, Dyadic, _clear_denominators, _make, as_dyadic
 from .model import Instance, InstanceError, Job, _load_json
 
 __all__ = [
@@ -94,19 +94,62 @@ class SyncSchedule:
 
 @dataclass(frozen=True)
 class ProcessorEval:
-    """Start times and overlaps for one shared processor."""
+    """Start times and overlaps for one shared processor.
+
+    A processor that :func:`evaluate` built keeps its start times as
+    integers over one power of two and makes the two tuples on first read.
+    """
 
     id: int
     order: tuple[str, ...]
     start_times: tuple[Dyadic, ...]  # length k+1; last entry is the makespan
     overlaps: tuple[Dyadic, ...]  # length k
 
+    def __getattr__(self, name):
+        # reached only for a name not stored: an unread field that evaluate
+        # left out, or a name that is no attribute
+        if name not in ("start_times", "overlaps"):
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        state = self.__dict__
+        times, s = state["_times"], state["_scale"]
+        if name == "start_times":
+            value = tuple([_make(t, s) for t in times])
+        else:
+            value = tuple([_make(b - a, s) for a, b in zip(times, times[1:])])
+        state[name] = value
+        return value
+
 
 @dataclass(frozen=True)
 class EvalReport:
+    """A schedule's processors, each job's overlap and the total.
+
+    ``job_overlaps`` lists the instance's jobs in instance order; a job
+    that runs on no shared processor has overlap zero.  A report that
+    :func:`evaluate` built makes it on first read.
+    """
+
     processors: tuple[ProcessorEval, ...]
     job_overlaps: dict[str, Dyadic] = field(compare=False)
     total: Dyadic = ZERO
+
+    def __getattr__(self, name):
+        # as in ProcessorEval: only job_overlaps is ever left out
+        if name != "job_overlaps":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        value = {job.id: ZERO for job in self.__dict__["_jobs"]}
+        for proc in self.processors:
+            value.update(zip(proc.order, proc.overlaps))
+        self.__dict__[name] = value
+        return value
+
+
+def _lazy(cls, **state):
+    """An instance of a frozen dataclass with only ``state`` stored; its
+    ``__getattr__`` derives the fields left out on first read."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(state)
+    return obj
 
 
 def _times(items: Iterable) -> list[Dyadic]:
@@ -147,7 +190,7 @@ def _ascending(values: list[Dyadic]) -> list[Dyadic]:
 def start_times(perm: Sequence) -> list[Dyadic]:
     """T_1..T_{k+1} for a job order: T_1 = 0, T_{i+1} = (T_i + p_i)/2."""
     times, s, _ = _halving(_times(perm))
-    return [Dyadic(t, s) for t in times]
+    return [_make(t, s) for t in times]
 
 
 def check_feasible(perm: Sequence) -> int | None:
@@ -164,7 +207,7 @@ def evaluate_sequence(perm: Sequence) -> Dyadic:
     """Total weighted overlap of one shared-processor order via the recurrence."""
     times, s, _ = _halving(_times(perm))
     ws, f = _clear_denominators(_weights(perm))
-    return Dyadic(_weighted_sum(times, ws), s + f)
+    return _make(_weighted_sum(times, ws), s + f)
 
 
 def evaluate(schedule: SyncSchedule, inst: Instance) -> EvalReport:
@@ -176,7 +219,6 @@ def evaluate(schedule: SyncSchedule, inst: Instance) -> EvalReport:
     """
     if schedule.m != inst.m:
         raise InstanceError(f"schedule has {schedule.m} processors, instance has {inst.m}")
-    overlaps = {job.id: ZERO for job in inst.jobs}
     total = ZERO
     processors = []
     for proc_idx, seq in enumerate(schedule.sequences, start=1):
@@ -185,19 +227,15 @@ def evaluate(schedule: SyncSchedule, inst: Instance) -> EvalReport:
         if bad is not None:
             raise InfeasibleScheduleError(bad, seq[bad - 1], proc_idx)
         ws, f = _clear_denominators([job.w for job in jobs])
-        total = total + Dyadic(_weighted_sum(times, ws), s + f)
-        bars = [Dyadic(b - a, s) for a, b in zip(times, times[1:])]
-        overlaps.update(zip(seq, bars))
-        processors.append(
-            ProcessorEval(proc_idx, tuple(seq), tuple(Dyadic(t, s) for t in times), tuple(bars))
-        )
-    return EvalReport(tuple(processors), overlaps, total)
+        total = total + _make(_weighted_sum(times, ws), s + f)
+        processors.append(_lazy(ProcessorEval, id=proc_idx, order=tuple(seq), _times=times, _scale=s))
+    return _lazy(EvalReport, processors=tuple(processors), total=total, _jobs=inst.jobs)
 
 
 def lower_halving_matrix(k: int) -> tuple[tuple[Dyadic, ...], ...]:
     """k x k matrix with entry 1/2^(i-j) strictly below the diagonal."""
     return tuple(
-        tuple(Dyadic(1, i - j) if i > j else ZERO for j in range(k)) for i in range(k)
+        tuple(_make(1, i - j) if i > j else ZERO for j in range(k)) for i in range(k)
     )
 
 
@@ -286,7 +324,7 @@ def _is_inclusive(values: list[Dyadic]) -> bool:
         return True
     # makespan of all-but-the-shortest in ascending order
     times, s, _ = _halving(values[1:])
-    return Dyadic(times[-1], s) < values[0]
+    return _make(times[-1], s) < values[0]
 
 
 def is_processing_time_inclusive(jobs: Iterable) -> bool:

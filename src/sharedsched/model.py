@@ -11,8 +11,9 @@ The on-disk format is JSON::
     {"m": <int>, "jobs": [{"id": <string>, "p": <dyadic>, "w": <dyadic>}, ...]}
 
 where dyadic literals are strings ``"n"``, ``"n/d"`` (d a power of two)
-or ``"n/2^k"``; plain JSON integers are accepted too.  Floats are
-rejected to keep the arithmetic exact end to end.
+or ``"n/2^k"`` in the grammar and exponent bound of
+:meth:`Dyadic.from_string`; plain JSON integers are accepted too.  Floats
+are rejected to keep the arithmetic exact end to end.
 """
 
 from __future__ import annotations
@@ -52,13 +53,26 @@ def _load_json(text: bytes | str):
 
 
 def json_to_dyadic(value, what: str) -> Dyadic:
-    """Convert a JSON scalar to a Dyadic, rejecting floats and bad literals."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise InstanceError(f"{what}: expected a dyadic string, got {value!r}")
+    """Convert a JSON scalar to a Dyadic, rejecting floats and bad literals.
+
+    A literal whose exponent is too large raises ``OverflowError``; every
+    other bad value raises :class:`InstanceError`.  Both name ``what``.
+    """
     try:
-        return as_dyadic(value)
-    except (ValueError, TypeError) as exc:
-        raise InstanceError(f"{what}: {exc}") from exc
+        return _json_literal(value)
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise _literal_error(exc, what) from exc
+
+
+def _json_literal(value) -> Dyadic:
+    if isinstance(value, (bool, float)):
+        raise TypeError(f"expected a dyadic string, got {value!r}")
+    return as_dyadic(value)
+
+
+def _literal_error(exc: Exception, what: str) -> Exception:
+    cls = OverflowError if isinstance(exc, OverflowError) else InstanceError
+    return cls(f"{what}: {exc}")
 
 
 @dataclass(frozen=True)
@@ -72,11 +86,13 @@ class Job:
     def __post_init__(self):
         if not isinstance(self.id, str) or not self.id:
             raise InstanceError(f"job id must be a non-empty string, got {self.id!r}")
-        object.__setattr__(self, "p", as_dyadic(self.p))
-        object.__setattr__(self, "w", as_dyadic(self.w))
-        if self.p.sign <= 0:
+        if not isinstance(self.p, Dyadic):
+            object.__setattr__(self, "p", as_dyadic(self.p))
+        if not isinstance(self.w, Dyadic):
+            object.__setattr__(self, "w", as_dyadic(self.w))
+        if self.p.mantissa <= 0:
             raise InstanceError(f"job {self.id!r}: p <= 0")
-        if self.w.sign <= 0:
+        if self.w.mantissa <= 0:
             raise InstanceError(f"job {self.id!r}: w <= 0")
 
 
@@ -130,6 +146,25 @@ def _job_id(entry, idx: int, *keys: str) -> str:
     return job_id
 
 
+def _memo_literal(raw, parsed: dict[str, Dyadic], idx: int, key: str) -> Dyadic:
+    """``jobs[idx].key`` as a Dyadic, looked up in or added to ``parsed``.
+
+    Dyadic values are immutable, so one value serves every repeat of its
+    literal (an equal-weight instance repeats one ``w``).  Only literals
+    that parsed are kept, so an error names the first entry holding its
+    literal; its label is formatted only then.
+    """
+    try:
+        if type(raw) is not str:
+            return _json_literal(raw)
+        value = parsed.get(raw)
+        if value is None:
+            value = parsed[raw] = Dyadic.from_string(raw)
+        return value
+    except (ValueError, TypeError, OverflowError) as exc:
+        raise _literal_error(exc, f"jobs[{idx}].{key}") from exc
+
+
 def parse_instance(text: bytes | str) -> Instance:
     """Parse and validate the JSON instance format."""
     data = _load_json(text)
@@ -143,15 +178,12 @@ def parse_instance(text: bytes | str) -> Instance:
     raw_jobs = data["jobs"]
     if not isinstance(raw_jobs, list):
         raise InstanceError('"jobs" must be a list')
+    parsed: dict[str, Dyadic] = {}
     jobs = []
     for idx, entry in enumerate(raw_jobs):
-        jobs.append(
-            Job(
-                _job_id(entry, idx, "p", "w"),
-                json_to_dyadic(entry["p"], f"jobs[{idx}].p"),
-                json_to_dyadic(entry["w"], f"jobs[{idx}].w"),
-            )
-        )
+        job_id = _job_id(entry, idx, "p", "w")
+        p = _memo_literal(entry["p"], parsed, idx, "p")
+        jobs.append(Job(job_id, p, _memo_literal(entry["w"], parsed, idx, "w")))
     return Instance(tuple(jobs), data["m"])
 
 

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .dyadic import ZERO, Dyadic, _clear_denominators
+from .dyadic import ZERO, Dyadic, _clear_denominators, _make
 from .engine import SyncSchedule, _ascending, _halving, _times, _weighted_sum, evaluate
 from .model import Instance, Job
 
@@ -84,8 +84,8 @@ def positional_weights(n: int, m: int) -> PositionalWeights:
         return PositionalWeights(0, 0, ())
     k = math.ceil(n / m)
     tail = n - (k - 1) * m
-    weights = [Dyadic(1, depth) for depth in range(1, k) for _ in range(m)]
-    weights.extend(Dyadic(1, k) for _ in range(tail))
+    weights = [_make(1, depth) for depth in range(1, k) for _ in range(m)]
+    weights.extend(_make(1, k) for _ in range(tail))
     return PositionalWeights(k, tail, tuple(weights))
 
 
@@ -118,7 +118,7 @@ def equal_weights_value(partition: Sequence[Sequence]) -> Dyadic:
             if ps[idx] < ps[idx - 1]:
                 raise ValueError(f"list not ascending: {ps[idx - 1]} precedes {ps[idx]}")
         times, s, _ = _halving(ps)
-        total = total + Dyadic(times[-1], s)
+        total = total + _make(times[-1], s)
     return total
 
 
@@ -126,7 +126,7 @@ def single_processor_ascending(jobs: Sequence) -> Dyadic:
     """Best single-shared-processor value for unit weights: run jobs in
     ascending order, yielding p_n/2 + p_{n-1}/4 + ... + p_1/2^n."""
     times, s, _ = _halving(_ascending(_times(jobs)))
-    return Dyadic(times[-1], s)
+    return _make(times[-1], s)
 
 
 def search_backend() -> str:
@@ -165,7 +165,7 @@ def brute_force(
     schedule = SyncSchedule(
         tuple(tuple(inst.jobs[j].id for j in order) for order in orders)
     )
-    return schedule, Dyadic(best_num, n + p_exp + w_exp)
+    return schedule, _make(best_num, n + p_exp + w_exp)
 
 
 def improve_by_exchanges(schedule: SyncSchedule, inst: Instance) -> SyncSchedule:

@@ -39,7 +39,7 @@ from collections import Counter
 from dataclasses import dataclass
 from typing import Mapping
 
-from .dyadic import Dyadic, _clear_denominators, as_dyadic
+from .dyadic import Dyadic, _clear_denominators, _make, as_dyadic
 from .engine import SyncSchedule, evaluate
 from .model import Instance, InstanceError, _job_id, _load_json, json_to_dyadic
 
@@ -173,9 +173,9 @@ class _Grid:
         spans: dict[str, list] = {job_id: [] for job_id in c}
         for chunks in self.chunks.values():
             for a, b, job_id in chunks:
-                spans[job_id].append((Dyadic(a, s), Dyadic(b, s)))
+                spans[job_id].append((_make(a, s), _make(b, s)))
         return GeneralSchedule(
-            {j: JobPlacement(procs[j] if v else None, v, Dyadic(c[j], s)) for j, v in spans.items()}
+            {j: JobPlacement(procs[j] if v else None, v, _make(c[j], s)) for j, v in spans.items()}
         )
 
 
@@ -193,7 +193,7 @@ def _value(grid: _Grid, weights: tuple[dict, int]) -> Dyadic:
             hi = min(b, private[job_id])
             if a < hi:
                 total += (hi - a) * w[job_id]
-    return Dyadic(total, grid.scale + exponent)
+    return _make(total, grid.scale + exponent)
 
 
 def _last_ends(grid: _Grid) -> dict[str, int]:
@@ -221,7 +221,7 @@ def _ordered(grid: _Grid) -> bool:
 
 def _violations(grid: _Grid, inst: Instance | None = None) -> list[str]:
     def t(x: int) -> Dyadic:  # the time a grid integer stands for
-        return Dyadic(x, grid.scale)
+        return _make(x, grid.scale)
 
     out = []
     ids = set(grid.private)

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from sharedsched import solvers
 from sharedsched.dyadic import Dyadic
 from sharedsched.model import Instance, Job
 
@@ -154,6 +155,33 @@ def random_inclusive_jobs(rng: random.Random, max_k=8, weights=None):
     return jobs
 
 
+def literal_corpus(rng: random.Random, count: int) -> list[str]:
+    """Well-formed literals, near misses and character soup."""
+    digits = "0123456789"
+    odd = "٣５\n \t+-/^.2e_x"
+    corpus = []
+    for _ in range(count):
+        number = "".join(rng.choice(digits) for _ in range(rng.randint(1, 4)))
+        sign = rng.choice(["", "", "-", "+", "--"])
+        kind = rng.randrange(5)
+        if kind == 0:
+            text = sign + number
+        elif kind == 1:
+            text = f"{sign}{number}/2^{rng.randint(0, 70)}"
+        elif kind == 2:
+            den = rng.choice([1 << rng.randint(0, 20), rng.randint(0, 99), 2, 24, 20, 0])
+            text = f"{sign}{number}/{den}"
+        elif kind == 3:
+            text = "".join(rng.choice(digits + odd) for _ in range(rng.randint(0, 8)))
+        else:
+            text = number
+        if rng.random() < 0.3:  # splice in one odd character
+            at = rng.randint(0, len(text))
+            text = text[:at] + rng.choice(odd) + text[at:]
+        corpus.append(text)
+    return corpus
+
+
 def random_dyadic(rng: random.Random, max_num=8, max_exp=2) -> Dyadic:
     return Dyadic(rng.randint(0, max_num), rng.randint(0, max_exp))
 
@@ -212,6 +240,23 @@ def random_general_schedule(rng: random.Random, max_jobs=6, max_m=3):
         }
     )
     return schedule, inst
+
+
+@pytest.fixture
+def bounded_search(monkeypatch):
+    """Fail, rather than hang, when the local search stops terminating:
+    an applied swap of equal value would be undone by the next sweep.
+    Counts the walks of the recurrence, one per candidate order."""
+    calls = 0
+    halving = solvers._halving
+
+    def counted(ps):
+        nonlocal calls
+        calls += 1
+        assert calls < 200_000, "the local search does not terminate"
+        return halving(ps)
+
+    monkeypatch.setattr(solvers, "_halving", counted)
 
 
 @pytest.fixture

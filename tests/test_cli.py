@@ -2,6 +2,7 @@
 
 import json
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -438,21 +439,70 @@ def test_outputs_byte_identical(workdir, capsys):
     assert run(capsys, "brute", v) == run(capsys, "brute", v)
 
 
-TINY_JOB = '{"m":1,"jobs":[{"id":"a","p":"1/2^100000","w":"1"},{"id":"b","p":"3","w":"1"}]}'
+WIDE = "9" * 4000
+WIDE_JOB = json.dumps({"m": 1, "jobs": [{"id": "a", "p": WIDE, "w": WIDE}, {"id": "b", "p": "3", "w": WIDE}]})
 
 
 @pytest.mark.parametrize("command", ["brute", "solve", "eval"])
 def test_value_too_long_to_print_exits_4(workdir, capsys, command):
-    # the value's denominator 2^100001 has over 30000 decimal digits,
-    # past Python's default int-to-str limit of 4300
+    # p * w has about 8000 decimal digits, past Python's default
+    # int-to-str limit of 4300, although each literal has 4000
     _, write = workdir
-    argv = [command, write("i.json", TINY_JOB)]
+    argv = [command, write("i.json", WIDE_JOB)]
     if command == "eval":
         argv.append(write("s.json", '{"processors":[{"id":1,"order":["a"]}]}'))
     code, out, err = run(capsys, *argv)
     assert code == 4
     assert out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith("error: a result value has more than 4300") and err.count("\n") == 1
+
+
+def test_exponent_past_bound_exits_4_fast(workdir):
+    # unbounded, this exponent asks for gigabytes; the address-space limit
+    # turns such a regression into a failure instead of a swapping machine
+    tmp_path, write = workdir
+    literal = "1/2^20000000000"
+    jobs = [{"id": "a", "p": literal, "w": "1"}, {"id": "b", "p": "3", "w": "1"}]
+    inst = write("i.json", json.dumps({"m": 1, "jobs": jobs}))
+    env = dict(os.environ, PYTHONPATH=str(Path(sharedsched.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "sharedsched.cli", "solve", inst],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=60,
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
+    )
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr == f"error: jobs[0].p: exponent 20000000000 exceeds the limit of 8192: {literal!r}\n"
+
+
+@pytest.mark.parametrize(
+    "literal,code,message",
+    [
+        ("3/2^8193", 4, "exponent 8193 exceeds the limit of 8192: '3/2^8193'"),
+        ("3/%d" % (1 << 8193), 4, "exponent 8193 exceeds the limit of 8192: '3/%d'" % (1 << 8193)),
+        ("4\n", 2, "not a dyadic literal: '4\\n'"),
+        ("\u0663/2", 2, "not a dyadic literal: '\u0663/2'"),
+    ],
+    ids=["exponent", "denominator", "final-newline", "arabic-indic-digit"],
+)
+@pytest.mark.parametrize("command", ["solve", "brute", "eval", "check", "gantt", "transform"])
+def test_literal_bound_and_grammar_exit_codes(workdir, capsys, command, literal, code, message):
+    _, write = workdir
+    if command == "transform":
+        general = json.loads(GENERAL_AB)
+        general["jobs"][1]["private_completion"] = literal
+        argv = [command, write("i.json", TWO_JOBS), write("g.json", json.dumps(general))]
+        what = "job 'b' private completion"
+    else:
+        inst = json.loads(TWO_JOBS)
+        inst["jobs"][1]["w"] = literal
+        argv = [command, write("i.json", json.dumps(inst))]
+        if command not in ("solve", "brute"):
+            argv.append(write("s.json", SYNC_AB))
+        what = "jobs[1].w"
+    assert run(capsys, *argv) == (code, "", f"error: {what}: {message}\n")
 
 
 def test_unknown_ids_reported_in_processor_order(workdir, capsys):

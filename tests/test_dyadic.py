@@ -12,6 +12,8 @@ from hypothesis import strategies as st
 
 from sharedsched.dyadic import ONE, ZERO, Dyadic, as_dyadic
 
+from conftest import literal_corpus
+
 dyadics = st.builds(
     Dyadic, st.integers(-(10**9), 10**9), st.integers(min_value=0, max_value=40)
 )
@@ -100,33 +102,6 @@ def parse_outcome(parse, text):
     return value.mantissa, value.exponent
 
 
-def literal_corpus(rng: random.Random, count: int) -> list[str]:
-    """Well-formed literals, near misses and character soup."""
-    digits = "0123456789"
-    odd = "٣５\n \t+-/^.2e_x"
-    corpus = []
-    for _ in range(count):
-        number = "".join(rng.choice(digits) for _ in range(rng.randint(1, 4)))
-        sign = rng.choice(["", "", "-", "+", "--"])
-        kind = rng.randrange(5)
-        if kind == 0:
-            text = sign + number
-        elif kind == 1:
-            text = f"{sign}{number}/2^{rng.randint(0, 70)}"
-        elif kind == 2:
-            den = rng.choice([1 << rng.randint(0, 20), rng.randint(0, 99), 2, 24, 20, 0])
-            text = f"{sign}{number}/{den}"
-        elif kind == 3:
-            text = "".join(rng.choice(digits + odd) for _ in range(rng.randint(0, 8)))
-        else:
-            text = number
-        if rng.random() < 0.3:  # splice in one odd character
-            at = rng.randint(0, len(text))
-            text = text[:at] + rng.choice(odd) + text[at:]
-        corpus.append(text)
-    return corpus
-
-
 PINNED_LITERALS = ["1/0", "3/2^", "3/24", "4\n", "٣/2", "3/2^4\n", "4\n\n", "", "/2", "1" * 5000]
 
 
@@ -135,13 +110,17 @@ def test_from_string_matches_three_pattern_parser():
     kinds = Counter()
     for text in corpus:
         got = parse_outcome(Dyadic.from_string, text)
-        assert got == parse_outcome(three_pattern_from_string, text), repr(text)
+        expected = parse_outcome(three_pattern_from_string, text)
+        if not text.isascii() or text.endswith("\n"):
+            # the strict grammar: ASCII digits only, and no final newline
+            expected = "error", f"not a dyadic literal: {text!r}"
+        assert got == expected, repr(text)
         kinds[got[1].split(":")[0] if got[0] == "error" else "ok"] += 1
     assert min(kinds["ok"], kinds["not a dyadic literal"]) > 5000
     assert kinds["denominator is not a power of two"] > 1000
-    # behaviours the grammar keeps, although the README does not describe them
-    assert Dyadic.from_string("4\n") == 4
-    assert Dyadic.from_string("٣/2") == Dyadic(3, 1)
+    # the reference parser accepted both (as 4 and 3/2)
+    assert parse_outcome(Dyadic.from_string, "4\n") == ("error", "not a dyadic literal: '4\\n'")
+    assert parse_outcome(Dyadic.from_string, "٣/2") == ("error", "not a dyadic literal: '٣/2'")
 
 
 def test_str_forms():

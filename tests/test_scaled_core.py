@@ -3,9 +3,10 @@
 ``start_times``, ``check_feasible``, ``evaluate_sequence``, ``evaluate``,
 ``solve_equal_weights``, ``equal_weights_value`` and
 ``single_processor_ascending`` run on integers scaled by one power of two
-and build ``Dyadic`` values only for their results; the inclusivity
-predicates and ``improve_by_exchanges`` evaluate through the same halving
-recurrence (``engine._halving``).  Each is checked against two
+and build ``Dyadic`` values only for their results (``evaluate``'s report
+only when a field is first read, so it is also checked against eagerly
+built reports); the inclusivity predicates and ``improve_by_exchanges``
+evaluate through the same halving recurrence (``engine._halving``).  Each is checked against two
 references: the ``Fraction`` oracle in ``conftest``, and a test-local
 copy of the code that these functions replaced (the ``dyadic_*``
 functions below), which must agree on every value, every canonical form,
@@ -13,10 +14,12 @@ every error and every output schedule.
 """
 
 import random
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
+from sharedsched import dyadic
 from sharedsched.dyadic import ZERO, Dyadic, _clear_denominators
 from sharedsched.engine import (
     EvalReport,
@@ -233,6 +236,64 @@ def test_evaluate_matches_dyadic_recurrence(start):
             assert all(map(same, got.start_times, want.start_times))
             assert all(map(same, got.overlaps, want.overlaps))
         assert same(report.total, expected.total)
+
+
+def eager_copy(report: EvalReport) -> EvalReport:
+    """The same report through the public constructors, every field given."""
+    processors = tuple(ProcessorEval(p.id, p.order, p.start_times, p.overlaps) for p in report.processors)
+    return EvalReport(processors, dict(report.job_overlaps), report.total)
+
+
+def test_lazy_report_equals_eager_report():
+    compared = 0
+    for inst, schedule in CASES:
+        if outcome(evaluate, schedule, inst)[0] != "ok":
+            continue
+        eager = eager_copy(evaluate(schedule, inst))
+        # each side unread before it is compared, in both orders
+        assert evaluate(schedule, inst) == eager
+        assert eager == evaluate(schedule, inst)
+        assert hash(evaluate(schedule, inst)) == hash(eager)
+        assert repr(evaluate(schedule, inst)) == repr(eager)
+        lazy = evaluate(schedule, inst)
+        assert lazy.job_overlaps == eager.job_overlaps
+        assert list(lazy.job_overlaps) == [job.id for job in inst.jobs]
+        assert lazy.processors == eager.processors
+        compared += 1
+    assert compared > 200
+
+
+def test_lazy_report_is_immutable():
+    inst, schedule = next((i, s) for i, s in CASES if len(i) > 2 and outcome(evaluate, s, i)[0] == "ok")
+    for read_first in (False, True):
+        report = evaluate(schedule, inst)
+        proc = report.processors[0]
+        if read_first:
+            eager_copy(report)
+        for obj, name in ((report, "job_overlaps"), (report, "total"), (proc, "start_times"), (proc, "overlaps")):
+            with pytest.raises(FrozenInstanceError, match=f"cannot assign to field '{name}'"):
+                setattr(obj, name, ())
+            with pytest.raises(FrozenInstanceError):
+                delattr(obj, name)
+    with pytest.raises(AttributeError, match="'ProcessorEval' object has no attribute 'makespan'"):
+        proc.makespan
+
+
+def test_total_alone_builds_one_dyadic_per_processor(monkeypatch):
+    inst = Instance(tuple(Job(f"j{i}", Dyadic(3 * i + 7, i % 5), Dyadic(i + 1, 2)) for i in range(600)), 4)
+    schedule = solve_equal_weights(Instance(tuple(Job(j.id, j.p, 1) for j in inst.jobs), inst.m))
+    built = []
+    store = dyadic._store
+    monkeypatch.setattr(dyadic, "_store", lambda *args: built.append(args[1:]) or store(*args))
+    report = evaluate(schedule, inst)
+    total = report.total
+    assert len(built) <= 2 * inst.m  # one value and one running sum per processor
+    assert report.total is total
+    report.processors[0].start_times
+    assert len(built) <= 2 * inst.m + 151
+    report.job_overlaps
+    assert len(built) <= 2 * inst.m + 151 + len(inst.jobs)
+    assert report == dyadic_evaluate(schedule, inst)
 
 
 def test_evaluate_matches_fraction_oracle():
@@ -454,23 +515,6 @@ def exchange_case(rng: random.Random):
         if rng.random() < 0.3:
             rng.shuffle(seq)  # often infeasible: both versions must raise alike
     return inst, SyncSchedule(tuple(tuple(job.id for job in seq) for seq in sequences))
-
-
-@pytest.fixture
-def bounded_search(monkeypatch):
-    """Fail, rather than hang, when the local search stops terminating:
-    an applied swap of equal value would be undone by the next sweep.
-    Counts the walks of the recurrence, one per candidate order."""
-    calls = 0
-    halving = solvers._halving
-
-    def counted(ps):
-        nonlocal calls
-        calls += 1
-        assert calls < 200_000, "the local search does not terminate"
-        return halving(ps)
-
-    monkeypatch.setattr(solvers, "_halving", counted)
 
 
 def test_improve_by_exchanges_matches_replaced_loop(bounded_search):

@@ -368,7 +368,7 @@ def test_pure_kernel_tie_break():
 # -- local search -------------------------------------------------------------------
 
 
-def test_exchanges_reach_ascending_for_unit_weights():
+def test_exchanges_reach_ascending_for_unit_weights(bounded_search):
     inst = make_instance([("a", 10, 1), ("b", 9, 1), ("c", 8, 1)], 1)
     start = SyncSchedule((("a", "b", "c"),))  # descending; feasible
     assert check_feasible([inst.job(j) for j in start.sequences[0]]) is None
@@ -377,13 +377,13 @@ def test_exchanges_reach_ascending_for_unit_weights():
     assert evaluate(result, inst).total == single_processor_ascending([8, 9, 10])
 
 
-def test_exchanges_identity_when_optimal():
+def test_exchanges_identity_when_optimal(bounded_search):
     inst = make_instance([("a", 4, 1), ("b", 8, 1)], 1)
     start = SyncSchedule((("a", "b"),))
     assert improve_by_exchanges(start, inst) == start
 
 
-def test_exchanges_requires_feasible_input():
+def test_exchanges_requires_feasible_input(bounded_search):
     from sharedsched.engine import InfeasibleScheduleError
 
     inst = make_instance([("a", 4, 1), ("b", 2, 1)], 1)
@@ -391,7 +391,7 @@ def test_exchanges_requires_feasible_input():
         improve_by_exchanges(SyncSchedule((("a", "b"),)), inst)
 
 
-def test_exchanges_never_decrease_and_stay_feasible(rng):
+def test_exchanges_never_decrease_and_stay_feasible(rng, bounded_search):
     for _ in range(40):
         n, m = rng.randint(1, 6), rng.randint(1, 2)
         inst = make_instance(
