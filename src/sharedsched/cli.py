@@ -13,9 +13,10 @@ Subcommands:
 
 Exit codes are stable: 0 ok, 2 parse/validation error, 3 wrong solver
 for the instance, 4 size limit exceeded (including a literal whose
-exponent is above the parser's bound and a value too long to print in
-decimal), 5 infeasible or invalid schedule.  All numeric output
-is exact dyadic strings; identical inputs produce byte-identical output.
+exponent is above the parser's bound, a value too long to print in
+decimal and a ``gantt --width`` above ``_MAX_WIDTH``), 5 infeasible or
+invalid schedule.  All numeric output is exact dyadic strings; identical
+inputs produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -37,9 +38,13 @@ EXIT_INFEASIBLE = 5
 
 _PROPERTIES = ("v-shape", "ordered", "synchronized", "inclusive")
 
+# gantt builds every row at full width, so its memory and output grow with it
+_MAX_WIDTH = 10_000
+
 
 class OutputTooLargeError(Exception):
-    """A value's decimal form exceeds Python's int-to-str digit limit."""
+    """Output refused for its size: a value whose decimal form exceeds
+    Python's int-to-str digit limit, or a chart wider than ``_MAX_WIDTH``."""
 
 
 def _text(value: Dyadic) -> str:
@@ -262,10 +267,12 @@ def _bar_column(t: Dyadic, horizon: Dyadic, width: int) -> int:
 
 
 def _cmd_gantt(args) -> int:
+    width = args.width
+    if width > _MAX_WIDTH:
+        raise OutputTooLargeError(f"--width {width} exceeds the limit of {_MAX_WIDTH} columns")
     inst = _load_instance(args.instance)
     schedule = _sync_schedule(_read(args.schedule), inst)
     report = engine.evaluate(schedule, inst)
-    width = args.width
     private_end = {job.id: job.p for job in inst.jobs}
     for proc in report.processors:
         # synchronized: a shared job's private span ends with its shared one
@@ -353,7 +360,12 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gantt", help="ASCII chart of a synchronized schedule")
     p.add_argument("instance")
     p.add_argument("schedule")
-    p.add_argument("--width", type=_positive_int, default=60)
+    p.add_argument(
+        "--width",
+        type=_positive_int,
+        default=60,
+        help=f"chart columns, 1 to {_MAX_WIDTH} (default 60); a wider chart exits 4",
+    )
     p.set_defaults(func=_cmd_gantt)
 
     return parser

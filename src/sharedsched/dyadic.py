@@ -63,6 +63,10 @@ class Dyadic:
     def __setattr__(self, name, value):
         raise AttributeError("Dyadic values are immutable")
 
+    def __reduce__(self):
+        # pickle and copy would restore the slots through __setattr__
+        return (type(self), (self.mantissa, self.exponent))
+
     # -- parsing / formatting -------------------------------------------------
 
     @classmethod

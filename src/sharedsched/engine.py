@@ -23,11 +23,10 @@ solvers and the hardness generator.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .dyadic import ZERO, Dyadic, _clear_denominators, _make, as_dyadic
-from .model import Instance, InstanceError, Job, _load_json
+from .model import Instance, InstanceError, Job, _load_json, _Record
 
 __all__ = [
     "SyncSchedule",
@@ -68,21 +67,20 @@ class InfeasibleScheduleError(ValueError):
         super().__init__(f"infeasible schedule: {where}: job no longer than its start time")
 
 
-@dataclass(frozen=True)
-class SyncSchedule:
+class SyncSchedule(_Record):
     """Per-shared-processor job orders; unlisted jobs run privately only."""
 
-    sequences: tuple[tuple[str, ...], ...]
+    __match_args__ = ("sequences",)
 
-    def __post_init__(self):
-        sequences = tuple(tuple(seq) for seq in self.sequences)
-        object.__setattr__(self, "sequences", sequences)
+    def __init__(self, sequences: tuple[tuple[str, ...], ...]):
+        sequences = tuple(tuple(seq) for seq in sequences)
         seen = set()
         for seq in sequences:
             for job_id in seq:
                 if job_id in seen:
                     raise InstanceError(f"job {job_id!r} appears more than once in schedule")
                 seen.add(job_id)
+        self.__dict__["sequences"] = sequences
 
     @property
     def m(self) -> int:
@@ -92,18 +90,23 @@ class SyncSchedule:
         return {job_id for seq in self.sequences for job_id in seq}
 
 
-@dataclass(frozen=True)
-class ProcessorEval:
+class ProcessorEval(_Record):
     """Start times and overlaps for one shared processor.
 
     A processor that :func:`evaluate` built keeps its start times as
     integers over one power of two and makes the two tuples on first read.
     """
 
-    id: int
-    order: tuple[str, ...]
-    start_times: tuple[Dyadic, ...]  # length k+1; last entry is the makespan
-    overlaps: tuple[Dyadic, ...]  # length k
+    __match_args__ = ("id", "order", "start_times", "overlaps")
+
+    def __init__(
+        self,
+        id: int,
+        order: tuple[str, ...],
+        start_times: tuple[Dyadic, ...],  # length k+1; last entry is the makespan
+        overlaps: tuple[Dyadic, ...],  # length k
+    ):
+        self.__dict__.update(id=id, order=order, start_times=start_times, overlaps=overlaps)
 
     def __getattr__(self, name):
         # reached only for a name not stored: an unread field that evaluate
@@ -120,18 +123,27 @@ class ProcessorEval:
         return value
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(_Record):
     """A schedule's processors, each job's overlap and the total.
 
     ``job_overlaps`` lists the instance's jobs in instance order; a job
     that runs on no shared processor has overlap zero.  A report that
-    :func:`evaluate` built makes it on first read.
+    :func:`evaluate` built makes it on first read.  Equality and hashing
+    leave ``job_overlaps`` out.
     """
 
-    processors: tuple[ProcessorEval, ...]
-    job_overlaps: dict[str, Dyadic] = field(compare=False)
-    total: Dyadic = ZERO
+    __match_args__ = ("processors", "job_overlaps", "total")
+
+    def __init__(
+        self,
+        processors: tuple[ProcessorEval, ...],
+        job_overlaps: dict[str, Dyadic],
+        total: Dyadic = ZERO,
+    ):
+        self.__dict__.update(processors=processors, job_overlaps=job_overlaps, total=total)
+
+    def _key(self) -> tuple:
+        return (self.processors, self.total)
 
     def __getattr__(self, name):
         # as in ProcessorEval: only job_overlaps is ever left out
@@ -145,8 +157,9 @@ class EvalReport:
 
 
 def _lazy(cls, **state):
-    """An instance of a frozen dataclass with only ``state`` stored; its
-    ``__getattr__`` derives the fields left out on first read."""
+    """An instance of ``cls`` with only ``state`` stored, made without its
+    ``__init__``; its ``__getattr__`` derives the fields left out on first
+    read."""
     obj = object.__new__(cls)
     obj.__dict__.update(state)
     return obj

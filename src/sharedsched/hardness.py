@@ -29,13 +29,12 @@ and ``decide`` relies only on the deltas.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from itertools import permutations
 from typing import Mapping, Sequence
 
 from .dyadic import Dyadic, ZERO
 from .engine import SyncSchedule, evaluate
-from .model import Instance, InstanceError, Job, _load_json
+from .model import Instance, InstanceError, Job, _load_json, _Record
 from .solvers import InstanceTooLargeError
 
 __all__ = [
@@ -65,39 +64,41 @@ def _int_entries(values, what: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class N3DMInput:
+class N3DMInput(_Record):
     """Three equal-size multisets of non-negative integers and a target sum."""
 
-    x: tuple[int, ...]
-    y: tuple[int, ...]
-    z: tuple[int, ...]
-    b: int
+    __match_args__ = ("x", "y", "z", "b")
 
-    def __post_init__(self):
-        object.__setattr__(self, "x", _int_entries(self.x, "X"))
-        object.__setattr__(self, "y", _int_entries(self.y, "Y"))
-        object.__setattr__(self, "z", _int_entries(self.z, "Z"))
-        if isinstance(self.b, bool) or not isinstance(self.b, int):
-            raise InstanceError(f"b must be an integer, got {self.b!r}")
-        if not self.x or len(self.x) != len(self.y) or len(self.x) != len(self.z):
+    def __init__(self, x: tuple[int, ...], y: tuple[int, ...], z: tuple[int, ...], b: int):
+        x, y, z = _int_entries(x, "X"), _int_entries(y, "Y"), _int_entries(z, "Z")
+        if isinstance(b, bool) or not isinstance(b, int):
+            raise InstanceError(f"b must be an integer, got {b!r}")
+        if not x or len(x) != len(y) or len(x) != len(z):
             raise InstanceError("X, Y, Z must have equal size n >= 1")
+        self.__dict__.update(x=x, y=y, z=z, b=b)
 
     @property
     def n(self) -> int:
         return len(self.x)
 
 
-@dataclass(frozen=True)
-class HardInstance:
+class HardInstance(_Record):
     """Generated scheduling instance plus its reduction parameters."""
 
-    instance: Instance
-    M: int
-    m_param: int
-    K: int
-    source: N3DMInput
-    provenance: Mapping[str, tuple[str, int]]  # job id -> (group, 1-based index)
+    __match_args__ = ("instance", "M", "m_param", "K", "source", "provenance")
+
+    def __init__(
+        self,
+        instance: Instance,
+        M: int,
+        m_param: int,
+        K: int,
+        source: N3DMInput,
+        provenance: Mapping[str, tuple[str, int]],  # job id -> (group, 1-based index)
+    ):
+        self.__dict__.update(
+            instance=instance, M=M, m_param=m_param, K=K, source=source, provenance=provenance
+        )
 
     def halved_times(self, index: int) -> tuple[int, int, int]:
         """(a, b, c) for position ``index``: a and c are half the A/C job

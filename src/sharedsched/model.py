@@ -19,7 +19,6 @@ are rejected to keep the arithmetic exact end to end.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 from .dyadic import Dyadic, as_dyadic
 
@@ -75,47 +74,83 @@ def _literal_error(exc: Exception, what: str) -> Exception:
     return cls(f"{what}: {exc}")
 
 
-@dataclass(frozen=True)
-class Job:
+class _Record:
+    """Base of the package's immutable value classes.
+
+    A subclass names its fields once, in ``__match_args__``, and its
+    ``__init__`` checks its arguments and stores each field once through
+    ``self.__dict__``.  Equality holds only between objects of one class and,
+    like hashing, uses the fields of ``_key``; repr shows every field.
+    Assigning or deleting an attribute raises ``FrozenInstanceError``.
+    """
+
+    __match_args__: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise _frozen(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise _frozen(f"cannot delete field {name!r}")
+
+
+def _frozen(message: str) -> Exception:
+    # imported here: the module adds ~13 ms to every process's start-up
+    from dataclasses import FrozenInstanceError
+
+    return FrozenInstanceError(message)
+
+
+class Job(_Record):
     """One divisible job: identifier, processing time, weight."""
 
-    id: str
-    p: Dyadic
-    w: Dyadic
+    __match_args__ = ("id", "p", "w")
 
-    def __post_init__(self):
-        if not isinstance(self.id, str) or not self.id:
-            raise InstanceError(f"job id must be a non-empty string, got {self.id!r}")
-        if not isinstance(self.p, Dyadic):
-            object.__setattr__(self, "p", as_dyadic(self.p))
-        if not isinstance(self.w, Dyadic):
-            object.__setattr__(self, "w", as_dyadic(self.w))
-        if self.p.mantissa <= 0:
-            raise InstanceError(f"job {self.id!r}: p <= 0")
-        if self.w.mantissa <= 0:
-            raise InstanceError(f"job {self.id!r}: w <= 0")
+    def __init__(self, id: str, p: Dyadic, w: Dyadic):
+        if not isinstance(id, str) or not id:
+            raise InstanceError(f"job id must be a non-empty string, got {id!r}")
+        if not isinstance(p, Dyadic):
+            p = as_dyadic(p)
+        if not isinstance(w, Dyadic):
+            w = as_dyadic(w)
+        if p.mantissa <= 0:
+            raise InstanceError(f"job {id!r}: p <= 0")
+        if w.mantissa <= 0:
+            raise InstanceError(f"job {id!r}: w <= 0")
+        self.__dict__.update(id=id, p=p, w=w)
 
 
-@dataclass(frozen=True)
-class Instance:
+class Instance(_Record):
     """A job set plus the number of shared processors."""
 
-    jobs: tuple[Job, ...]
-    m: int
-    _by_id: dict = field(init=False, repr=False, compare=False)
+    __match_args__ = ("jobs", "m")
 
-    def __post_init__(self):
-        object.__setattr__(self, "jobs", tuple(self.jobs))
-        if isinstance(self.m, bool) or not isinstance(self.m, int):
-            raise InstanceError(f"m must be an int, got {self.m!r}")
-        if self.m < 1:
+    def __init__(self, jobs: tuple[Job, ...], m: int):
+        jobs = tuple(jobs)
+        if isinstance(m, bool) or not isinstance(m, int):
+            raise InstanceError(f"m must be an int, got {m!r}")
+        if m < 1:
             raise InstanceError("m < 1")
         by_id = {}
-        for job in self.jobs:
+        for job in jobs:
             if job.id in by_id:
                 raise InstanceError(f"duplicate id {job.id!r}")
             by_id[job.id] = job
-        object.__setattr__(self, "_by_id", by_id)
+        self.__dict__.update(jobs=jobs, m=m, _by_id=by_id)
 
     def __len__(self) -> int:
         return len(self.jobs)
@@ -130,16 +165,21 @@ class Instance:
         return job_id in self._by_id
 
     def equal_weights(self) -> bool:
-        return all(job.w == self.jobs[0].w for job in self.jobs) if self.jobs else True
+        if not self.jobs:
+            return True
+        # parsed weights are memoized, so equal ones are usually one object
+        w = self.jobs[0].w
+        return all(job.w is w or job.w == w for job in self.jobs)
 
 
 def _job_id(entry, idx: int, *keys: str) -> str:
     """The string id of ``jobs[idx]``, an object that must hold "id" and ``keys``."""
     if not isinstance(entry, dict):
         raise InstanceError(f"jobs[{idx}] must be an object")
-    missing = {"id", *keys} - set(entry)
-    if missing:
-        raise InstanceError(f"jobs[{idx}] missing keys: {sorted(missing)}")
+    for key in ("id", *keys):
+        if key not in entry:
+            missing = {"id", *keys}.difference(entry)
+            raise InstanceError(f"jobs[{idx}] missing keys: {sorted(missing)}")
     job_id = entry["id"]
     if not isinstance(job_id, str):
         raise InstanceError(f"jobs[{idx}]: id must be a string")

@@ -20,12 +20,11 @@ then a sweep over canonical processor labellings picks the assignment.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 from .dyadic import ZERO, Dyadic, _clear_denominators, _make
 from .engine import SyncSchedule, _ascending, _halving, _times, _weighted_sum, evaluate
-from .model import Instance, Job
+from .model import Instance, Job, _Record
 
 __all__ = [
     "PositionalWeights",
@@ -50,20 +49,18 @@ class UnequalWeightsError(ValueError):
     """The equal-weight solver was given unequal weights."""
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(_Record):
     """Guard rails for exhaustive search."""
 
-    max_jobs: int = 8
-    max_candidates: int = 10_000_000
+    __match_args__ = ("max_jobs", "max_candidates")
 
-    def __post_init__(self):
-        if self.max_jobs < 1 or self.max_candidates < 1:
+    def __init__(self, max_jobs: int = 8, max_candidates: int = 10_000_000):
+        if max_jobs < 1 or max_candidates < 1:
             raise ValueError("search limits must be positive")
+        self.__dict__.update(max_jobs=max_jobs, max_candidates=max_candidates)
 
 
-@dataclass(frozen=True)
-class PositionalWeights:
+class PositionalWeights(_Record):
     """The non-increasing weight sequence matched against sorted jobs.
 
     ``k`` is the largest per-processor job count, ``tail`` the number of
@@ -72,9 +69,10 @@ class PositionalWeights:
     1/2^k.
     """
 
-    k: int
-    tail: int
-    weights: tuple[Dyadic, ...]
+    __match_args__ = ("k", "tail", "weights")
+
+    def __init__(self, k: int, tail: int, weights: tuple[Dyadic, ...]):
+        self.__dict__.update(k=k, tail=tail, weights=weights)
 
 
 def positional_weights(n: int, m: int) -> PositionalWeights:

@@ -36,12 +36,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping
 
 from .dyadic import Dyadic, _clear_denominators, _make, as_dyadic
 from .engine import SyncSchedule, evaluate
-from .model import Instance, InstanceError, _job_id, _load_json, json_to_dyadic
+from .model import Instance, InstanceError, _job_id, _load_json, _Record, json_to_dyadic
 
 __all__ = [
     "JobPlacement",
@@ -82,28 +81,32 @@ class PreconditionError(ValueError):
     """A transformation applied outside its stated precondition."""
 
 
-@dataclass(frozen=True)
-class JobPlacement:
+class JobPlacement(_Record):
     """Where one job runs: shared processor, shared intervals, private span."""
 
-    processor: int | None
-    intervals: tuple[tuple[Dyadic, Dyadic], ...]
-    private_completion: Dyadic
+    __match_args__ = ("processor", "intervals", "private_completion")
 
-    def __post_init__(self):
-        intervals = tuple((as_dyadic(a), as_dyadic(b)) for a, b in self.intervals)
-        object.__setattr__(self, "intervals", tuple(sorted(intervals)))
-        object.__setattr__(self, "private_completion", as_dyadic(self.private_completion))
+    def __init__(
+        self,
+        processor: int | None,
+        intervals: tuple[tuple[Dyadic, Dyadic], ...],
+        private_completion: Dyadic,
+    ):
+        intervals = tuple(sorted([(as_dyadic(a), as_dyadic(b)) for a, b in intervals]))
+        self.__dict__.update(
+            processor=processor,
+            intervals=intervals,
+            private_completion=as_dyadic(private_completion),
+        )
 
 
-@dataclass(frozen=True)
-class GeneralSchedule:
+class GeneralSchedule(_Record):
     """Immutable map from job id to its placement."""
 
-    placements: Mapping[str, JobPlacement]
+    __match_args__ = ("placements",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "placements", dict(self.placements))
+    def __init__(self, placements: Mapping[str, JobPlacement]):
+        self.__dict__["placements"] = dict(placements)
 
     def processors(self) -> list[int]:
         return sorted(
@@ -578,15 +581,36 @@ def push(g: GeneralSchedule, processor: int, i: int, eps) -> GeneralSchedule:
 # -- full synchronization --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SynchronizeReport:
-    schedule: SyncSchedule
-    general: GeneralSchedule
-    value_before: Dyadic
-    value_after: Dyadic
-    rebalance_steps: int
-    # (pass, value after it) for the four passes, then "rebalance"
-    pass_values: tuple[tuple[str, Dyadic], ...] = ()
+class SynchronizeReport(_Record):
+    """A synchronized schedule, its general form, and how the passes got there."""
+
+    __match_args__ = (
+        "schedule",
+        "general",
+        "value_before",
+        "value_after",
+        "rebalance_steps",
+        "pass_values",
+    )
+
+    def __init__(
+        self,
+        schedule: SyncSchedule,
+        general: GeneralSchedule,
+        value_before: Dyadic,
+        value_after: Dyadic,
+        rebalance_steps: int,
+        # (pass, value after it) for the four passes, then "rebalance"
+        pass_values: tuple[tuple[str, Dyadic], ...] = (),
+    ):
+        self.__dict__.update(
+            schedule=schedule,
+            general=general,
+            value_before=value_before,
+            value_after=value_after,
+            rebalance_steps=rebalance_steps,
+            pass_values=pass_values,
+        )
 
 
 def _rebalance(grid: _Grid, w: dict, limit: int) -> int:

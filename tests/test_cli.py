@@ -457,24 +457,46 @@ def test_value_too_long_to_print_exits_4(workdir, capsys, command):
     assert err.startswith("error: a result value has more than 4300") and err.count("\n") == 1
 
 
-def test_exponent_past_bound_exits_4_fast(workdir):
-    # unbounded, this exponent asks for gigabytes; the address-space limit
-    # turns such a regression into a failure instead of a swapping machine
-    tmp_path, write = workdir
-    literal = "1/2^20000000000"
-    jobs = [{"id": "a", "p": literal, "w": "1"}, {"id": "b", "p": "3", "w": "1"}]
-    inst = write("i.json", json.dumps({"m": 1, "jobs": jobs}))
+def _run_capped(*argv) -> subprocess.CompletedProcess:
+    """One CLI call in a child process under a 1 GiB address-space limit.
+
+    An input that makes the CLI ask for gigabytes then fails the test
+    instead of swapping the machine.
+    """
     env = dict(os.environ, PYTHONPATH=str(Path(sharedsched.__file__).parents[1]))
-    done = subprocess.run(
-        [sys.executable, "-m", "sharedsched.cli", "solve", inst],
+    return subprocess.run(
+        [sys.executable, "-m", "sharedsched.cli", *argv],
         env=env,
         capture_output=True,
         text=True,
         timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
     )
+
+
+def test_exponent_past_bound_exits_4_fast(workdir):
+    _, write = workdir
+    literal = "1/2^20000000000"
+    jobs = [{"id": "a", "p": literal, "w": "1"}, {"id": "b", "p": "3", "w": "1"}]
+    inst = write("i.json", json.dumps({"m": 1, "jobs": jobs}))
+    done = _run_capped("solve", inst)
     assert (done.returncode, done.stdout) == (4, "")
     assert done.stderr == f"error: jobs[0].p: exponent 20000000000 exceeds the limit of 8192: {literal!r}\n"
+
+
+def test_gantt_width_past_bound_exits_4_fast(workdir):
+    # unbounded, a billion columns per row end in a MemoryError traceback
+    _, write = workdir
+    inst, sched = write("i.json", TWO_JOBS), write("s.json", SYNC_AB)
+    done = _run_capped("gantt", inst, sched, "--width", "10000")
+    assert (done.returncode, done.stderr) == (0, "")
+    lines = done.stdout.splitlines()
+    assert lines[0] == "time 0..5  (10000 columns)"
+    assert len(lines) == 4 and all(len(line) == len("M1  |") + 10000 + 1 for line in lines[1:])
+    for width in ("10001", "1000000000"):
+        done = _run_capped("gantt", inst, sched, "--width", width)
+        assert (done.returncode, done.stdout) == (4, "")
+        assert done.stderr == f"error: --width {width} exceeds the limit of 10000 columns\n"
 
 
 @pytest.mark.parametrize(
@@ -553,12 +575,18 @@ def test_unreadable_json_exits_2(workdir, capsys, command, text):
 
 
 def _loaded_modules(tmp_path, *argv) -> set[str]:
-    """The package modules a fresh interpreter holds after one CLI call."""
+    """The modules a fresh interpreter imports for one CLI call.
+
+    The snapshot is taken when the script starts, after ``site``, so that
+    a ``.pth`` file in site-packages cannot change the result.
+    """
     script = (
-        "import json, sys\n"
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import json\n"
         "from sharedsched.cli import main\n"
         f"assert main({list(argv)!r}) == 0\n"
-        "print(json.dumps(sorted(m for m in sys.modules if m.startswith('sharedsched'))))\n"
+        "print(json.dumps(sorted(set(sys.modules) - before)))\n"
     )
     env = dict(os.environ, PYTHONPATH=str(Path(sharedsched.__file__).parents[1]))
     done = subprocess.run(
@@ -577,11 +605,21 @@ def test_commands_import_only_what_they_use(workdir):
     tmp_path, write = workdir
     inst, sched = write("i.json", TWO_JOBS), write("s.json", SYNC_AB)
     general = write("g.json", GENERAL_AB)
-    for argv in (["solve", inst], ["eval", inst, sched], ["brute", inst]):
-        loaded = _loaded_modules(tmp_path, *argv)
-        assert "sharedsched.engine" in loaded
-        assert not loaded & {"sharedsched.transforms", "sharedsched.hardness"}, argv
-        assert ("sharedsched._permsearch" in loaded) == (argv[0] == "brute"), argv
-    loaded = _loaded_modules(tmp_path, "transform", inst, general)
-    assert "sharedsched.transforms" in loaded
-    assert not loaded & {"sharedsched.solvers", "sharedsched._permsearch", "sharedsched.hardness"}
+    calls = {
+        "solve": [inst],
+        "eval": [inst, sched],
+        "brute": [inst],
+        "transform": [inst, general],
+        "check": [inst, sched],
+        "gantt": [inst, sched],
+    }
+    loaded = {command: _loaded_modules(tmp_path, command, *args) for command, args in calls.items()}
+    for command in ("solve", "eval", "brute"):
+        assert "sharedsched.engine" in loaded[command]
+        assert not loaded[command] & {"sharedsched.transforms", "sharedsched.hardness"}, command
+        assert ("sharedsched._permsearch" in loaded[command]) == (command == "brute"), command
+    assert "sharedsched.transforms" in loaded["transform"]
+    assert not loaded["transform"] & {"sharedsched.solvers", "sharedsched._permsearch", "sharedsched.hardness"}
+    for command, modules in loaded.items():
+        # importing dataclasses, which imports inspect, costs ~20 ms of start-up
+        assert not modules & {"dataclasses", "inspect"}, command
