@@ -47,9 +47,10 @@ class OutputTooLargeError(Exception):
     Python's int-to-str digit limit, or a chart wider than ``_MAX_WIDTH``."""
 
 
-def _text(value: Dyadic) -> str:
+def _text(value, to_text=str) -> str:
+    """``to_text(value)``, the output text of a value, a record or a report."""
     try:
-        return str(value)
+        return to_text(value)
     except ValueError as exc:  # str(int) refuses past sys.get_int_max_str_digits()
         raise OutputTooLargeError(
             f"a result value has more than {sys.get_int_max_str_digits()} decimal digits"
@@ -222,8 +223,8 @@ def _cmd_gen_n3dm(args) -> int:
 
     inp = hardness.parse_n3dm(_read(args.n3dm))
     hi = hardness.gen_instance(inp)
-    instance_json = serialize_instance(hi.instance)
-    provenance_json = hardness.serialize_provenance(hi)
+    instance_json = _text(hi.instance, serialize_instance)
+    provenance_json = _text(hi, hardness.serialize_provenance)  # holds M and K too
     if args.out:
         out = Path(args.out)
         sidecar_name = (

@@ -13,16 +13,17 @@ get a zero-length shared interval, so such orders are rejected rather
 than silently dropping the job.
 
 This module evaluates schedules through that recurrence, run by one integer
-walk (``_halving``) that also finds the first infeasible position, and
-through an equivalent bilinear matrix form.  It computes the exact value
-change of an adjacent transposition and provides the structural predicates
-(V-shape, processing-time/weight inclusivity, reverse duality) used by the
-solvers and the hardness generator.
+walk (``_walk``) that also finds the first infeasible position and the
+value, and through an equivalent bilinear matrix form.  It computes the
+exact value change of an adjacent transposition and provides the structural
+predicates (V-shape, processing-time/weight inclusivity, reverse duality)
+used by the solvers and the hardness generator.
 """
 
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Iterable, Sequence
 
 from .dyadic import ZERO, Dyadic, _clear_denominators, _make, as_dyadic
@@ -108,19 +109,16 @@ class ProcessorEval(_Record):
     ):
         self.__dict__.update(id=id, order=order, start_times=start_times, overlaps=overlaps)
 
-    def __getattr__(self, name):
-        # reached only for a name not stored: an unread field that evaluate
-        # left out, or a name that is no attribute
-        if name not in ("start_times", "overlaps"):
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        state = self.__dict__
-        times, s = state["_times"], state["_scale"]
-        if name == "start_times":
-            value = tuple([_make(t, s) for t in times])
-        else:
-            value = tuple([_make(b - a, s) for a, b in zip(times, times[1:])])
-        state[name] = value
-        return value
+    # a stored field shadows these; they run only for a processor evaluate built
+    @cached_property
+    def start_times(self) -> tuple[Dyadic, ...]:
+        s = self._scale
+        return tuple([_make(t, s) for t in self._times])
+
+    @cached_property
+    def overlaps(self) -> tuple[Dyadic, ...]:
+        times, s = self._times, self._scale
+        return tuple([_make(b - a, s) for a, b in zip(times, times[1:])])
 
 
 class EvalReport(_Record):
@@ -145,20 +143,17 @@ class EvalReport(_Record):
     def _key(self) -> tuple:
         return (self.processors, self.total)
 
-    def __getattr__(self, name):
-        # as in ProcessorEval: only job_overlaps is ever left out
-        if name != "job_overlaps":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        value = {job.id: ZERO for job in self.__dict__["_jobs"]}
+    @cached_property
+    def job_overlaps(self) -> dict[str, Dyadic]:  # as in ProcessorEval
+        value = {job.id: ZERO for job in self._jobs}
         for proc in self.processors:
             value.update(zip(proc.order, proc.overlaps))
-        self.__dict__[name] = value
         return value
 
 
 def _lazy(cls, **state):
     """An instance of ``cls`` with only ``state`` stored, made without its
-    ``__init__``; its ``__getattr__`` derives the fields left out on first
+    ``__init__``; its cached properties derive the fields left out on first
     read."""
     obj = object.__new__(cls)
     obj.__dict__.update(state)
@@ -173,10 +168,11 @@ def _weights(items: Iterable) -> list[Dyadic]:
     return [item.w if isinstance(item, Job) else as_dyadic(item) for item in items]
 
 
-def _halving(ps: Sequence[Dyadic]) -> tuple[list[int], int, int | None]:
-    """The recurrence on integers: ``(times, s, bad)`` with ``T_{i+1} ==
-    times[i] / 2**s`` for i = 0..k, and ``bad`` the first 1-based
-    position with ``p_i <= T_i`` (None when the order is feasible).
+def _walk(ps: Sequence[Dyadic], ws: Sequence[Dyadic] = ()):
+    """The recurrence on integers: ``(times, s, bad, num, e)`` with
+    ``T_{i+1} == times[i] / 2**s`` for i = 0..k, ``bad`` the first 1-based
+    position with ``p_i <= T_i`` (None when the order is feasible) and
+    ``num / 2**e`` the order's value under the weights ``ws`` (0 for none).
 
     ``s`` is the largest exponent among the p plus k, so every halving
     step is an exact shift (T_{i+1} has at most i more binary digits
@@ -191,7 +187,10 @@ def _halving(ps: Sequence[Dyadic]) -> tuple[list[int], int, int | None]:
         if p <= times[-1] and bad is None:
             bad = i
         times.append((times[-1] + p) >> 1)
-    return times, e + k, bad
+    ws, f = _clear_denominators(ws)
+    # sum of overlap_i * w_i, where overlap_i = (p_i - T_i)/2 = T_{i+1} - T_i
+    num = sum([(b - a) * w for a, b, w in zip(times, times[1:], ws)])
+    return times, e + k, bad, num, e + k + f
 
 
 def _ascending(values: list[Dyadic]) -> list[Dyadic]:
@@ -202,25 +201,19 @@ def _ascending(values: list[Dyadic]) -> list[Dyadic]:
 
 def start_times(perm: Sequence) -> list[Dyadic]:
     """T_1..T_{k+1} for a job order: T_1 = 0, T_{i+1} = (T_i + p_i)/2."""
-    times, s, _ = _halving(_times(perm))
+    times, s, *_ = _walk(_times(perm))
     return [_make(t, s) for t in times]
 
 
 def check_feasible(perm: Sequence) -> int | None:
     """Return the first 1-based position with ``p_i <= T_i``, or None if ok."""
-    return _halving(_times(perm))[2]
-
-
-def _weighted_sum(times: list[int], ws: list[int]) -> int:
-    # sum of overlap_i * w_i, where overlap_i = (p_i - T_i)/2 = T_{i+1} - T_i
-    return sum([(b - a) * w for a, b, w in zip(times, times[1:], ws)])
+    return _walk(_times(perm))[2]
 
 
 def evaluate_sequence(perm: Sequence) -> Dyadic:
     """Total weighted overlap of one shared-processor order via the recurrence."""
-    times, s, _ = _halving(_times(perm))
-    ws, f = _clear_denominators(_weights(perm))
-    return _make(_weighted_sum(times, ws), s + f)
+    *_, num, e = _walk(_times(perm), _weights(perm))
+    return _make(num, e)
 
 
 def evaluate(schedule: SyncSchedule, inst: Instance) -> EvalReport:
@@ -236,11 +229,10 @@ def evaluate(schedule: SyncSchedule, inst: Instance) -> EvalReport:
     processors = []
     for proc_idx, seq in enumerate(schedule.sequences, start=1):
         jobs = [inst.job(job_id) for job_id in seq]
-        times, s, bad = _halving([job.p for job in jobs])
+        times, s, bad, num, e = _walk([job.p for job in jobs], [job.w for job in jobs])
         if bad is not None:
             raise InfeasibleScheduleError(bad, seq[bad - 1], proc_idx)
-        ws, f = _clear_denominators([job.w for job in jobs])
-        total = total + _make(_weighted_sum(times, ws), s + f)
+        total = total + _make(num, e)
         processors.append(_lazy(ProcessorEval, id=proc_idx, order=tuple(seq), _times=times, _scale=s))
     return _lazy(EvalReport, processors=tuple(processors), total=total, _jobs=inst.jobs)
 
@@ -336,7 +328,7 @@ def _is_inclusive(values: list[Dyadic]) -> bool:
     if len(values) <= 1:
         return True
     # makespan of all-but-the-shortest in ascending order
-    times, s, _ = _halving(values[1:])
+    times, s, *_ = _walk(values[1:])
     return _make(times[-1], s) < values[0]
 
 

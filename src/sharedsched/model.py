@@ -19,6 +19,7 @@ are rejected to keep the arithmetic exact end to end.
 from __future__ import annotations
 
 import json
+from operator import attrgetter
 
 from .dyadic import Dyadic, as_dyadic
 
@@ -57,21 +58,27 @@ def json_to_dyadic(value, what: str) -> Dyadic:
     A literal whose exponent is too large raises ``OverflowError``; every
     other bad value raises :class:`InstanceError`.  Both name ``what``.
     """
+    return _literal(value, {}, "{}", what)
+
+
+def _literal(raw, parsed: dict[str, Dyadic], label: str, *args) -> Dyadic:
+    """:func:`json_to_dyadic` with ``parsed``, one document's memo of its
+    string literals: a Dyadic is immutable, so one value serves every repeat
+    of its literal.  Only literals that parsed are kept, so an error names the
+    first entry holding its literal, as ``label.format(*args)`` formatted then.
+    """
     try:
-        return _json_literal(value)
+        if type(raw) is str:
+            value = parsed.get(raw)
+            if value is None:
+                value = parsed[raw] = Dyadic.from_string(raw)
+            return value
+        if isinstance(raw, (bool, float)):
+            raise TypeError(f"expected a dyadic string, got {raw!r}")
+        return as_dyadic(raw)
     except (ValueError, TypeError, OverflowError) as exc:
-        raise _literal_error(exc, what) from exc
-
-
-def _json_literal(value) -> Dyadic:
-    if isinstance(value, (bool, float)):
-        raise TypeError(f"expected a dyadic string, got {value!r}")
-    return as_dyadic(value)
-
-
-def _literal_error(exc: Exception, what: str) -> Exception:
-    cls = OverflowError if isinstance(exc, OverflowError) else InstanceError
-    return cls(f"{what}: {exc}")
+        cls = OverflowError if isinstance(exc, OverflowError) else InstanceError
+        raise cls(f"{label.format(*args)}: {exc}") from exc
 
 
 class _Record:
@@ -80,22 +87,28 @@ class _Record:
     A subclass names its fields once, in ``__match_args__``, and its
     ``__init__`` checks its arguments and stores each field once through
     ``self.__dict__``.  Equality holds only between objects of one class and,
-    like hashing, uses the fields of ``_key``; repr shows every field.
-    Assigning or deleting an attribute raises ``FrozenInstanceError``.
+    like hashing, compares the tuple ``cls._key(obj)``: a getter of the
+    ``__match_args__`` fields built once per class, unless the class defines
+    its own ``_key``.  Repr shows every field.  Assigning or deleting an
+    attribute raises ``FrozenInstanceError``.
     """
 
     __match_args__: tuple[str, ...] = ()
 
-    def _key(self) -> tuple:
-        return tuple([getattr(self, name) for name in self.__match_args__])
+    def __init_subclass__(cls):
+        if "_key" not in cls.__dict__:
+            get = attrgetter(*cls.__match_args__)
+            # attrgetter of one name returns the bare value, not a 1-tuple
+            cls._key = get if len(cls.__match_args__) > 1 else lambda self: (get(self),)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented
-        return self._key() == other._key()
+        key = self.__class__._key
+        return key(self) == key(other)
 
     def __hash__(self) -> int:
-        return hash(self._key())
+        return hash(self.__class__._key(self))
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
@@ -186,25 +199,6 @@ def _job_id(entry, idx: int, *keys: str) -> str:
     return job_id
 
 
-def _memo_literal(raw, parsed: dict[str, Dyadic], idx: int, key: str) -> Dyadic:
-    """``jobs[idx].key`` as a Dyadic, looked up in or added to ``parsed``.
-
-    Dyadic values are immutable, so one value serves every repeat of its
-    literal (an equal-weight instance repeats one ``w``).  Only literals
-    that parsed are kept, so an error names the first entry holding its
-    literal; its label is formatted only then.
-    """
-    try:
-        if type(raw) is not str:
-            return _json_literal(raw)
-        value = parsed.get(raw)
-        if value is None:
-            value = parsed[raw] = Dyadic.from_string(raw)
-        return value
-    except (ValueError, TypeError, OverflowError) as exc:
-        raise _literal_error(exc, f"jobs[{idx}].{key}") from exc
-
-
 def parse_instance(text: bytes | str) -> Instance:
     """Parse and validate the JSON instance format."""
     data = _load_json(text)
@@ -222,8 +216,8 @@ def parse_instance(text: bytes | str) -> Instance:
     jobs = []
     for idx, entry in enumerate(raw_jobs):
         job_id = _job_id(entry, idx, "p", "w")
-        p = _memo_literal(entry["p"], parsed, idx, "p")
-        jobs.append(Job(job_id, p, _memo_literal(entry["w"], parsed, idx, "w")))
+        p = _literal(entry["p"], parsed, "jobs[{}].p", idx)
+        jobs.append(Job(job_id, p, _literal(entry["w"], parsed, "jobs[{}].w", idx)))
     return Instance(tuple(jobs), data["m"])
 
 

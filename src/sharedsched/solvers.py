@@ -7,7 +7,7 @@ processing time, deal them round-robin across the m shared processors
 1/2, 1/4, ..., and the first ``n - (ceil(n/m) - 1) * m`` processors get
 one extra job), then run each processor's jobs in ascending order.  With
 unit weights an order's value telescopes to its makespan.  The
-unit-weight values and the local search walk each order once, in ``engine._halving``.
+unit-weight values and the local search walk each order once, in ``engine._walk``.
 
 ``brute_force`` is the exact oracle: it finds the best assignment of
 each job to {private-only, processor 1..m} with the best feasible
@@ -23,8 +23,8 @@ import math
 from typing import Sequence
 
 from .dyadic import ZERO, Dyadic, _clear_denominators, _make
-from .engine import SyncSchedule, _ascending, _halving, _times, _weighted_sum, evaluate
-from .model import Instance, Job, _Record
+from .engine import SyncSchedule, _ascending, _times, _walk, evaluate
+from .model import Instance, _Record
 
 __all__ = [
     "PositionalWeights",
@@ -115,7 +115,7 @@ def equal_weights_value(partition: Sequence[Sequence]) -> Dyadic:
         for idx in range(1, len(ps)):
             if ps[idx] < ps[idx - 1]:
                 raise ValueError(f"list not ascending: {ps[idx - 1]} precedes {ps[idx]}")
-        times, s, _ = _halving(ps)
+        times, s, *_ = _walk(ps)
         total = total + _make(times[-1], s)
     return total
 
@@ -123,7 +123,7 @@ def equal_weights_value(partition: Sequence[Sequence]) -> Dyadic:
 def single_processor_ascending(jobs: Sequence) -> Dyadic:
     """Best single-shared-processor value for unit weights: run jobs in
     ascending order, yielding p_n/2 + p_{n-1}/4 + ... + p_1/2^n."""
-    times, s, _ = _halving(_ascending(_times(jobs)))
+    times, s, *_ = _walk(_ascending(_times(jobs)))
     return _make(times[-1], s)
 
 
@@ -181,22 +181,13 @@ def improve_by_exchanges(schedule: SyncSchedule, inst: Instance) -> SyncSchedule
     while improved:
         improved = False
         for jobs in orders:
-            value = _scaled_value(jobs)
+            # every order of one job set shares the scale 2**e of its value
+            value = _walk([job.p for job in jobs], [job.w for job in jobs])[3]
             for pos in range(len(jobs) - 1):
                 swapped = jobs[:pos] + [jobs[pos + 1], jobs[pos]] + jobs[pos + 2 :]
-                swapped_value = _scaled_value(swapped)
-                if swapped_value is not None and swapped_value > value:
+                _, _, bad, swapped_value, _ = _walk([j.p for j in swapped], [j.w for j in swapped])
+                if bad is None and swapped_value > value:
                     jobs[:] = swapped
                     value = swapped_value
                     improved = True
     return SyncSchedule(tuple(tuple(job.id for job in jobs) for jobs in orders))
-
-
-def _scaled_value(jobs: list[Job]) -> int | None:
-    """An order's value times ``2**(s + f)``, or None when it is infeasible;
-    s and f depend only on the job set, which every order of it shares."""
-    times, _, bad = _halving([job.p for job in jobs])
-    if bad is not None:
-        return None
-    ws, _ = _clear_denominators([job.w for job in jobs])
-    return _weighted_sum(times, ws)

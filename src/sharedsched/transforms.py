@@ -40,7 +40,7 @@ from typing import Mapping
 
 from .dyadic import Dyadic, _clear_denominators, _make, as_dyadic
 from .engine import SyncSchedule, evaluate
-from .model import Instance, InstanceError, _job_id, _load_json, _Record, json_to_dyadic
+from .model import Instance, InstanceError, _job_id, _literal, _load_json, _Record
 
 __all__ = [
     "JobPlacement",
@@ -704,6 +704,7 @@ def parse_general_schedule(text: bytes | str) -> GeneralSchedule:
     if not isinstance(data, dict) or "jobs" not in data or not isinstance(data["jobs"], list):
         raise InstanceError('general schedule must be an object with a "jobs" list')
     placements = {}
+    parsed: dict[str, Dyadic] = {}
     for idx, entry in enumerate(data["jobs"]):
         job_id = _job_id(entry, idx, "shared_processor", "shared_intervals", "private_completion")
         if job_id in placements:
@@ -718,16 +719,12 @@ def parse_general_schedule(text: bytes | str) -> GeneralSchedule:
         for pair in raw_intervals:
             if not isinstance(pair, list) or len(pair) != 2:
                 raise InstanceError(f"job {job_id!r}: each interval must be a [start, end] pair")
-            intervals.append(
-                (
-                    json_to_dyadic(pair[0], f"job {job_id!r} interval start"),
-                    json_to_dyadic(pair[1], f"job {job_id!r} interval end"),
-                )
-            )
+            start = _literal(pair[0], parsed, "job {!r} interval start", job_id)
+            intervals.append((start, _literal(pair[1], parsed, "job {!r} interval end", job_id)))
         placements[job_id] = JobPlacement(
             proc,
             tuple(intervals),
-            json_to_dyadic(entry["private_completion"], f"job {job_id!r} private completion"),
+            _literal(entry["private_completion"], parsed, "job {!r} private completion", job_id),
         )
     return GeneralSchedule(placements)
 

@@ -248,15 +248,15 @@ def bounded_search(monkeypatch):
     an applied swap of equal value would be undone by the next sweep.
     Counts the walks of the recurrence, one per candidate order."""
     calls = 0
-    halving = solvers._halving
+    walk = solvers._walk
 
-    def counted(ps):
+    def counted(ps, ws=()):
         nonlocal calls
         calls += 1
         assert calls < 200_000, "the local search does not terminate"
-        return halving(ps)
+        return walk(ps, ws)
 
-    monkeypatch.setattr(solvers, "_halving", counted)
+    monkeypatch.setattr(solvers, "_walk", counted)
 
 
 @pytest.fixture

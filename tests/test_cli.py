@@ -443,18 +443,23 @@ WIDE = "9" * 4000
 WIDE_JOB = json.dumps({"m": 1, "jobs": [{"id": "a", "p": WIDE, "w": WIDE}, {"id": "b", "p": "3", "w": WIDE}]})
 
 
-@pytest.mark.parametrize("command", ["brute", "solve", "eval"])
+@pytest.mark.parametrize("command", ["brute", "solve", "eval", "gen-n3dm"])
 def test_value_too_long_to_print_exits_4(workdir, capsys, command):
     # p * w has about 8000 decimal digits, past Python's default
-    # int-to-str limit of 4300, although each literal has 4000
-    _, write = workdir
+    # int-to-str limit of 4300, although each literal has 4000; for
+    # gen-n3dm, M = 7*((b+1)^2 + b) + 1 has about 4400 digits
+    tmp_path, write = workdir
     argv = [command, write("i.json", WIDE_JOB)]
     if command == "eval":
         argv.append(write("s.json", '{"processors":[{"id":1,"order":["a"]}]}'))
+    if command == "gen-n3dm":
+        argv = [command, write("n.json", '{"X":[0],"Y":[0],"Z":[0],"b":%d}' % 10**2200)]
+        argv += ["--out", str(tmp_path / "hard.json")]
     code, out, err = run(capsys, *argv)
     assert code == 4
     assert out == ""
     assert err.startswith("error: a result value has more than 4300") and err.count("\n") == 1
+    assert not (tmp_path / "hard.json").exists()
 
 
 def _run_capped(*argv) -> subprocess.CompletedProcess:

@@ -1,5 +1,6 @@
 """Hard-instance generation, equitable schedules, deltas, decision."""
 
+import random
 from itertools import permutations
 
 import pytest
@@ -20,7 +21,7 @@ from sharedsched.hardness import (
     serialize_provenance,
 )
 from sharedsched.model import InstanceError
-from sharedsched.solvers import InstanceTooLargeError, brute_force
+from sharedsched.solvers import InstanceTooLargeError, SearchLimits, brute_force
 
 from conftest import frac
 
@@ -269,6 +270,56 @@ def test_brute_force_optimum_is_equitable_n2():
     assert is_equitable(schedule, hi)
     # the matching deltas of the optimum are all zero: both triples sum to b
     assert [processor_delta(schedule, hi, p) for p in (1, 2)] == [0, 0]
+
+
+def seeded_n3dm(rng, n, kind):
+    """A matching input with entries in 0..6: solvable by construction
+    (kind 0), with grand total n*b so every delta sum is zero (kind 1, when
+    the total divides), or with entries and b drawn independently."""
+    if kind == 0:
+        b = rng.randint(0, 12)
+        triples = []
+        for _ in range(n):
+            x = rng.randint(0, min(b, 6))
+            y = rng.randint(0, min(b - x, 6))
+            triples.append((x, y, b - x - y))
+        x, y, z = (list(column) for column in zip(*triples))
+        rng.shuffle(y)
+        rng.shuffle(z)
+        return N3DMInput(tuple(x), tuple(y), tuple(z), b)
+    inp = random_input(rng, n=n, hi=6)
+    total = sum(inp.x) + sum(inp.y) + sum(inp.z)
+    if kind == 1 and total % n == 0:
+        return N3DMInput(inp.x, inp.y, inp.z, total // n)
+    return inp
+
+
+def test_reduction_optimum_is_zero_delta_exactly_when_solvable():
+    # the strong NP-hardness reduction: a generated instance's optimum is
+    # an equitable schedule, the best of all n!^2 equitable matchings, and
+    # it reaches the value of all-zero deltas exactly when the input is solvable
+    rng = random.Random(31)
+    limits = SearchLimits(max_jobs=9)
+    outcomes = set()
+    for n, count in ((2, 30), (3, 10)):
+        for idx in range(count):
+            inp = seeded_n3dm(rng, n, idx % 3)
+            hi = gen_instance(inp)
+            schedule, value = brute_force(hi.instance, limits)
+            assert is_equitable(schedule, hi), inp
+            equitable = [
+                evaluate(equitable_schedule(hi, list(zip(range(n), ys, zs))), hi.instance).total
+                for ys in permutations(range(n))
+                for zs in permutations(range(n))
+            ]
+            assert value == max(equitable), inp
+            # the delta terms of h_value are exact: shift one matching to zero deltas
+            report = equitable_diagnostic(hi, [(i, i, i) for i in range(n)])
+            zero = report["direct"] - report["printed_h"] + h_value([0] * n, hi)
+            solvable = decide(inp)[0]
+            assert (value == zero) == solvable, inp
+            outcomes.add((n, solvable))
+    assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
 
 
 def test_parse_n3dm():

@@ -20,6 +20,7 @@ import pytest
 from sharedsched import dyadic
 from sharedsched.dyadic import Dyadic, as_dyadic
 from sharedsched.model import Instance, InstanceError, Job, _job_id, _load_json, parse_instance
+from sharedsched.transforms import parse_general_schedule
 
 from conftest import literal_corpus
 
@@ -213,3 +214,12 @@ def test_parse_instance_shares_repeated_literals():
     with pytest.raises(InstanceError) as exc:
         parse_instance('{"m":1,"jobs":[{"id":"a","p":"1","w":"1/3"},{"id":"b","p":"1/3","w":"1"}]}')
     assert str(exc.value) == "jobs[0].w: denominator is not a power of two: '1/3'"
+    # general schedules share one memo across intervals and completions
+    entry = '{"id":"%s","shared_processor":1,"shared_intervals":[["%s","%s"]],"private_completion":"%s"}'
+    g = parse_general_schedule('{"jobs":[%s,%s]}' % (entry % ("a", 0, "3/4", "3/4"), entry % ("b", "3/4", 2, 2)))
+    a, b = g.placements["a"], g.placements["b"]
+    assert a.intervals[0][1] is a.private_completion is b.intervals[0][0] == Dyadic(3, 2)
+    assert b.intervals[0][1] is b.private_completion == 2
+    with pytest.raises(InstanceError) as exc:
+        parse_general_schedule('{"jobs":[%s,%s]}' % (entry % ("a", 0, 1, "1/3"), entry % ("b", "1/3", 2, 2)))
+    assert str(exc.value) == "job 'a' private completion: denominator is not a power of two: '1/3'"

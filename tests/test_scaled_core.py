@@ -6,7 +6,7 @@
 and build ``Dyadic`` values only for their results (``evaluate``'s report
 only when a field is first read, so it is also checked against eagerly
 built reports); the inclusivity predicates and ``improve_by_exchanges``
-evaluate through the same halving recurrence (``engine._halving``).  Each is checked against two
+evaluate through the same halving recurrence (``engine._walk``).  Each is checked against two
 references: the ``Fraction`` oracle in ``conftest``, and a test-local
 copy of the code that these functions replaced (the ``dyadic_*``
 functions below), which must agree on every value, every canonical form,
@@ -550,7 +550,7 @@ def test_improve_by_exchanges_walks_each_candidate_once(monkeypatch):
     inst = Instance(jobs, 1)
     schedule = SyncSchedule((tuple(job.id for job in sorted(jobs, key=lambda j: j.p)),))
     calls = []
-    halving = solvers._halving
-    monkeypatch.setattr(solvers, "_halving", lambda ps: calls.append(len(ps)) or halving(ps))
+    walk = solvers._walk
+    monkeypatch.setattr(solvers, "_walk", lambda ps, ws=(): calls.append(len(ps)) or walk(ps, ws))
     assert improve_by_exchanges(schedule, inst) == schedule
     assert calls == [8] * 8  # the current order, then its 7 adjacent swaps
