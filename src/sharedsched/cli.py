@@ -22,7 +22,9 @@ inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -69,36 +71,53 @@ def _read(path: str) -> bytes:
         raise InstanceError(f"cannot read {path}: {exc}") from exc
 
 
+def _write_all(texts: dict[Path, str]) -> None:
+    """Write each text to its path, or else none of them.
+
+    Each text goes to a temporary file beside its path first; the paths
+    are replaced only once every text is written and no path names a
+    directory.  A failure removes the temporary files and is reported as
+    ``cannot write <path>``.
+    """
+    written = {}
+    try:
+        for path, text in texts.items():
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(temp, "w", encoding="utf-8") as file:
+                written[path] = temp
+                file.write(text)
+        for path in texts:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
+        for path, temp in written.items():
+            os.replace(temp, path)
+    except OSError as exc:
+        for temp in written.values():
+            temp.unlink(missing_ok=True)
+        raise InstanceError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _load_instance(path: str) -> Instance:
     return parse_instance(_read(path))
 
 
-def _schedule_json(schedule: engine.SyncSchedule) -> dict:
-    return json.loads(engine.serialize_sync_schedule(schedule))
+def _report_text(report: engine.EvalReport) -> str:
+    """The report's JSON text, byte for byte as ``_emit`` would dump its
+    fields.  Each value text holds only ASCII digits, ``-`` and ``/``, which
+    JSON prints as they are, so only the job ids go through the encoder."""
+    processors, job_overlaps = engine._report_texts(report)
+    quote = json.encoder.encode_basestring_ascii  # what json.dumps applies to a str
 
+    def strings(texts: list[str]) -> str:
+        return '["' + '", "'.join(texts) + '"]' if texts else "[]"
 
-def _report_json(report: engine.EvalReport) -> dict:
-    processors = []
-    texts = {}  # job id -> its formatted overlap, shared by both listings
-    for proc in report.processors:
-        overlaps = [_text(t) for t in proc.overlaps]
-        texts.update(zip(proc.order, overlaps))
-        processors.append(
-            {
-                "id": proc.id,
-                "order": list(proc.order),
-                "start_times": [_text(t) for t in proc.start_times],
-                "overlaps": overlaps,
-            }
-        )
-    return {
-        "processors": processors,
-        "job_overlaps": {
-            job_id: texts[job_id] if job_id in texts else _text(t)
-            for job_id, t in report.job_overlaps.items()
-        },
-        "total": _text(report.total),
-    }
+    procs = ", ".join(
+        f'{{"id": {proc.id}, "order": {json.dumps(proc.order)}, '
+        f'"overlaps": {strings(overlaps)}, "start_times": {strings(starts)}}}'
+        for proc, (starts, overlaps) in zip(report.processors, processors)
+    )
+    jobs = ", ".join(f'{quote(job_id)}: "{text}"' for job_id, text in sorted(job_overlaps.items()))
+    return f'{{"job_overlaps": {{{jobs}}}, "processors": [{procs}], "total": "{report.total}"}}'
 
 
 # Commands import solvers, transforms and hardness only when they use them,
@@ -111,7 +130,7 @@ def _cmd_solve(args) -> int:
     inst = _load_instance(args.instance)
     schedule = solvers.solve_equal_weights(inst)
     report = engine.evaluate(schedule, inst)
-    _emit({"schedule": _schedule_json(schedule), "value": _text(report.total)})
+    _emit({"schedule": engine._schedule_data(schedule), "value": _text(report.total)})
     return EXIT_OK
 
 
@@ -121,7 +140,7 @@ def _cmd_brute(args) -> int:
     inst = _load_instance(args.instance)
     limits = solvers.SearchLimits(max_jobs=args.max_jobs)
     schedule, value = solvers.brute_force(inst, limits)
-    _emit({"schedule": _schedule_json(schedule), "value": _text(value)})
+    _emit({"schedule": engine._schedule_data(schedule), "value": _text(value)})
     return EXIT_OK
 
 
@@ -129,7 +148,7 @@ def _cmd_eval(args) -> int:
     inst = _load_instance(args.instance)
     schedule = _sync_schedule(_read(args.schedule), inst)
     report = engine.evaluate(schedule, inst)
-    _emit(_report_json(report))
+    print(_text(report, _report_text))
     return EXIT_OK
 
 
@@ -141,7 +160,7 @@ def _cmd_transform(args) -> int:
     report = transforms.synchronize_detailed(general, inst)
     _emit(
         {
-            "schedule": _schedule_json(report.schedule),
+            "schedule": engine._schedule_data(report.schedule),
             "value_before": _text(report.value_before),
             "value_after": _text(report.value_after),
             "value_delta": _text(report.value_after - report.value_before),
@@ -230,8 +249,7 @@ def _cmd_gen_n3dm(args) -> int:
         sidecar_name = (
             out.name[: -len(".json")] if out.name.endswith(".json") else out.name
         ) + ".provenance.json"
-        out.write_text(instance_json + "\n", encoding="utf-8")
-        (out.parent / sidecar_name).write_text(provenance_json + "\n", encoding="utf-8")
+        _write_all({out: instance_json + "\n", out.parent / sidecar_name: provenance_json + "\n"})
         _emit({"M": hi.M, "m_param": hi.m_param, "K": hi.K})
     else:
         _emit(

@@ -14,7 +14,8 @@ Hot loops elsewhere in the package do not use this type: they clear the
 denominators of their inputs by one power of two
 (:func:`_clear_denominators`), run on plain integers, and build a
 ``Dyadic`` once per result through :func:`_make`, which skips the public
-constructor's type checks.
+constructor's type checks, or print a result straight from its integers
+through :func:`_text`, the one route to a value's text.
 
 Literals are ``n``, ``n/d`` (``d`` a power of two) or ``n/2^k``, where
 ``n`` is an optional ``-`` followed by ASCII digits and ``d``, ``k`` are
@@ -76,6 +77,8 @@ class Dyadic:
         Raises ``ValueError`` for any other text and ``OverflowError`` for
         an exponent above :data:`_MAX_EXPONENT`.
         """
+        if text.isdigit() and text.isascii():  # plain digits: the common literal
+            return _store(_new(cls), int(text), 0)
         match = _LITERAL_RE.fullmatch(text)
         if not match:
             raise ValueError(f"not a dyadic literal: {text!r}")
@@ -96,9 +99,7 @@ class Dyadic:
         return _store(_new(cls), mantissa, exponent)
 
     def __str__(self) -> str:
-        if self.exponent == 0:
-            return str(self.mantissa)
-        return f"{self.mantissa}/{1 << self.exponent}"
+        return _text(self.mantissa, self.exponent)
 
     def __repr__(self) -> str:
         return f"Dyadic({str(self)!r})"
@@ -247,6 +248,33 @@ def _make(mantissa: int, exponent: int) -> Dyadic:
     int and a non-negative int: the trusted constructor of every value the
     package computes, without the public constructor's type checks."""
     return _store(_new(Dyadic), mantissa, exponent)
+
+
+def _text(num: int, e: int, dens: dict[int, str] | None = None) -> str:
+    """The canonical text of ``num / 2**e``: ``"n"``, or ``"n/d"`` with ``n``
+    odd, as ``str`` gives it for ``_make(num, e)``, without building that value.
+
+    ``dens`` is a caller's memo of each exponent's denominator text, so the
+    values of one report that share an exponent convert ``2**e`` once.
+    Like ``str(int)``, raises ``ValueError`` for a number longer than
+    Python's int-to-str digit limit.
+    """
+    if e and not num & 1:
+        if num:
+            # strip factors of two shared with the denominator
+            shift = min(e, (num & -num).bit_length() - 1)
+            num >>= shift
+            e -= shift
+        else:
+            e = 0
+    if not e:
+        return str(num)
+    if dens is None:
+        return f"{num}/{1 << e}"
+    den = dens.get(e)
+    if den is None:
+        den = dens[e] = str(1 << e)
+    return f"{num}/{den}"
 
 
 def _clear_denominators(values: Sequence[Dyadic]) -> tuple[list[int], int]:

@@ -26,8 +26,8 @@ import json
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .dyadic import ZERO, Dyadic, _clear_denominators, _make, as_dyadic
-from .model import Instance, InstanceError, Job, _load_json, _Record
+from .dyadic import ZERO, Dyadic, _clear_denominators, _make, _text, as_dyadic
+from .model import Instance, InstanceError, Job, _load_json, _Record, _trusted
 
 __all__ = [
     "SyncSchedule",
@@ -151,13 +151,40 @@ class EvalReport(_Record):
         return value
 
 
-def _lazy(cls, **state):
-    """An instance of ``cls`` with only ``state`` stored, made without its
-    ``__init__``; its cached properties derive the fields left out on first
-    read."""
-    obj = object.__new__(cls)
-    obj.__dict__.update(state)
-    return obj
+def _report_texts(report: EvalReport) -> tuple[list[tuple[list[str], list[str]]], dict[str, str]]:
+    """The output texts of a report: each processor's start times and
+    overlaps, and each job's overlap keyed as ``job_overlaps``.
+
+    A report that :func:`evaluate` built is printed from the integers it
+    keeps, with no ``Dyadic`` per value; a job on no processor reads
+    ``"0"``.  Any other report prints its stored fields.  Either way each
+    text is ``str`` of the matching field, and each exponent's denominator
+    is converted once.  Raises ``ValueError`` for a value longer than
+    Python's int-to-str digit limit.
+    """
+    dens: dict[int, str] = {}
+    processors = []
+    on_processor = {}  # job id -> its overlap text
+    for proc in report.processors:
+        state = proc.__dict__
+        if "_times" in state:
+            times, s = state["_times"], state["_scale"]
+            starts = [_text(t, s, dens) for t in times]
+            overlaps = [_text(b - a, s, dens) for a, b in zip(times, times[1:])]
+        else:
+            starts = [_text(v.mantissa, v.exponent, dens) for v in proc.start_times]
+            overlaps = [_text(v.mantissa, v.exponent, dens) for v in proc.overlaps]
+        processors.append((starts, overlaps))
+        on_processor.update(zip(proc.order, overlaps))
+    state = report.__dict__
+    if "_jobs" in state:
+        jobs = {job.id: on_processor.get(job.id, "0") for job in state["_jobs"]}
+    else:
+        jobs = {
+            job_id: on_processor.get(job_id) or str(value)
+            for job_id, value in report.job_overlaps.items()
+        }
+    return processors, jobs
 
 
 def _times(items: Iterable) -> list[Dyadic]:
@@ -233,8 +260,10 @@ def evaluate(schedule: SyncSchedule, inst: Instance) -> EvalReport:
         if bad is not None:
             raise InfeasibleScheduleError(bad, seq[bad - 1], proc_idx)
         total = total + _make(num, e)
-        processors.append(_lazy(ProcessorEval, id=proc_idx, order=tuple(seq), _times=times, _scale=s))
-    return _lazy(EvalReport, processors=tuple(processors), total=total, _jobs=inst.jobs)
+        state = {"id": proc_idx, "order": tuple(seq), "_times": times, "_scale": s}
+        processors.append(_trusted(ProcessorEval, state))
+    state = {"processors": tuple(processors), "total": total, "_jobs": inst.jobs}
+    return _trusted(EvalReport, state)
 
 
 def lower_halving_matrix(k: int) -> tuple[tuple[Dyadic, ...], ...]:
@@ -405,11 +434,15 @@ def parse_sync_schedule(text: bytes | str, m: int) -> SyncSchedule:
     return SyncSchedule(tuple(sequences))
 
 
-def serialize_sync_schedule(schedule: SyncSchedule) -> str:
-    data = {
+def _schedule_data(schedule: SyncSchedule) -> dict:
+    """The JSON object of a synchronized schedule, before it is dumped."""
+    return {
         "processors": [
             {"id": idx, "order": list(seq)}
             for idx, seq in enumerate(schedule.sequences, start=1)
         ]
     }
-    return json.dumps(data, sort_keys=True)
+
+
+def serialize_sync_schedule(schedule: SyncSchedule) -> str:
+    return json.dumps(_schedule_data(schedule), sort_keys=True)

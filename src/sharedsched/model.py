@@ -121,6 +121,17 @@ class _Record:
         raise _frozen(f"cannot delete field {name!r}")
 
 
+def _trusted(cls, fields: dict):
+    """An instance of the record class ``cls`` holding ``fields``, made
+    without its ``__init__``: the trusted constructor of records whose
+    fields the caller has checked, and of records whose cached properties
+    derive the fields left out on first read.  (A dict argument costs half
+    what keyword arguments do.)"""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
+
+
 def _frozen(message: str) -> Exception:
     # imported here: the module adds ~13 ms to every process's start-up
     from dataclasses import FrozenInstanceError
@@ -213,11 +224,21 @@ def parse_instance(text: bytes | str) -> Instance:
     if not isinstance(raw_jobs, list):
         raise InstanceError('"jobs" must be a list')
     parsed: dict[str, Dyadic] = {}
+    get = parsed.get
     jobs = []
     for idx, entry in enumerate(raw_jobs):
         job_id = _job_id(entry, idx, "p", "w")
-        p = _literal(entry["p"], parsed, "jobs[{}].p", idx)
-        jobs.append(Job(job_id, p, _literal(entry["w"], parsed, "jobs[{}].w", idx)))
+        raw_p, raw_w = entry["p"], entry["w"]
+        # a repeated string literal is found here, without a call per value
+        p = get(raw_p) if type(raw_p) is str else None
+        if p is None:
+            p = _literal(raw_p, parsed, "jobs[{}].p", idx)
+        w = get(raw_w) if type(raw_w) is str else None
+        if w is None:
+            w = _literal(raw_w, parsed, "jobs[{}].w", idx)
+        if not job_id or p.mantissa <= 0 or w.mantissa <= 0:
+            Job(job_id, p, w)  # raises the first of its checks that fails
+        jobs.append(_trusted(Job, {"id": job_id, "p": p, "w": w}))
     return Instance(tuple(jobs), data["m"])
 
 

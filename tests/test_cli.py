@@ -2,6 +2,7 @@
 
 import json
 import os
+import random
 import resource
 import subprocess
 import sys
@@ -10,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import sharedsched
-from sharedsched.cli import main
-from sharedsched.engine import serialize_sync_schedule
-from sharedsched.model import parse_instance
+from sharedsched.cli import _report_text, main
+from sharedsched.dyadic import Dyadic
+from sharedsched.engine import SyncSchedule, evaluate, serialize_sync_schedule
+from sharedsched.model import Instance, Job, parse_instance
 from sharedsched.solvers import SearchLimits, brute_force
 
 FIVE_JOBS = (
@@ -143,6 +145,52 @@ def test_eval_report(workdir, capsys):
     assert data["processors"][0]["start_times"] == ["0", "2", "5"]
     assert data["processors"][0]["overlaps"] == ["2", "3"]
     assert data["job_overlaps"] == {"a": "2", "b": "3"}
+
+
+def replaced_report_json(report):
+    """The eval report as the CLI built it before it printed from integers:
+    a dict of ``str`` of each ``Dyadic`` field, for ``json.dumps``."""
+    return {
+        "processors": [
+            {
+                "id": proc.id,
+                "order": list(proc.order),
+                "start_times": [str(t) for t in proc.start_times],
+                "overlaps": [str(b) for b in proc.overlaps],
+            }
+            for proc in report.processors
+        ],
+        "job_overlaps": {job_id: str(value) for job_id, value in report.job_overlaps.items()},
+        "total": str(report.total),
+    }
+
+
+# ids that json.dumps escapes, plus plain ones that sort around them
+ODD_IDS = ["é", 'q"uote', "back\\slash", "tab\tnl\n", "日本", "\U0001f600", "\x7f", "\ud800"]
+ODD_IDS += ["z", "A", "10", "9"]
+
+
+def test_eval_text_matches_json_dumps_of_the_replaced_dict():
+    rng = random.Random(3)
+    compared = 0
+    for trial in range(300):
+        n, m = rng.randint(0, 12), rng.randint(1, 4)
+        ids = rng.sample(ODD_IDS, min(n, len(ODD_IDS))) + [f"j{i}" for i in range(n - len(ODD_IDS))]
+        rng.shuffle(ids)
+        jobs = tuple(
+            Job(job_id, Dyadic(rng.randint(1, 1 << 20), rng.randint(0, 12)), rng.randint(1, 9))
+            for job_id in ids
+        )
+        buckets = [[] for _ in range(m)]
+        for job in jobs:
+            if rng.random() < 0.8:  # the rest run privately only
+                rng.choice(buckets).append(job)
+        schedule = SyncSchedule(tuple(tuple(j.id for j in sorted(b, key=lambda j: j.p)) for b in buckets))
+        report = evaluate(schedule, Instance(jobs, m))
+        expected = json.dumps(replaced_report_json(evaluate(schedule, Instance(jobs, m))), sort_keys=True)
+        assert _report_text(report) == expected
+        compared += bool(jobs)
+    assert compared > 250
 
 
 def test_eval_infeasible_exits_5(workdir, capsys):
@@ -329,6 +377,27 @@ def test_gen_n3dm_files(workdir, capsys):
     sidecar = json.loads((tmp_path / "hard.provenance.json").read_text())
     assert sidecar["n"] == 2
     assert len(sidecar["jobs"]) == 6
+
+
+@pytest.mark.parametrize("case", ["missing directory", "directory", "sidecar is a directory"])
+def test_gen_n3dm_unwritable_out_exits_2_and_writes_nothing(workdir, capsys, case):
+    tmp_path, write = workdir
+    src = write("n.json", '{"X":[1],"Y":[2],"Z":[3],"b":6}')
+    if case == "missing directory":
+        out, reason = tmp_path / "missing" / "hard.json", "No such file or directory"
+    elif case == "directory":
+        out, reason = tmp_path / "outdir", "Is a directory"
+        out.mkdir()
+    else:
+        out, reason = tmp_path / "hard.json", "Is a directory"
+        (tmp_path / "hard.provenance.json").mkdir()
+    before = sorted(tmp_path.rglob("*"))
+    code, stdout, err = run(capsys, "gen-n3dm", src, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    blocked = out if case != "sidecar is a directory" else tmp_path / "hard.provenance.json"
+    assert err == f"error: cannot write {blocked}: {reason}\n"
+    assert sorted(tmp_path.rglob("*")) == before  # neither file nor a temporary one is left
 
 
 def test_gen_n3dm_negative_exits_2(workdir, capsys):

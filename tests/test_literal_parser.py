@@ -159,14 +159,31 @@ def test_exponent_bound():
     assert Dyadic(1, BOUND + 1).half().exponent == BOUND + 2
 
 
+# str.isdigit() holds for every one of these; only the ASCII ones are literals
+PLAIN_DIGIT_EDGES = ["²", "¹2", "٣", "０", "007", "1" * 5000]
+
+
 def test_from_string_matches_replaced_parser():
-    corpus = literal_corpus(random.Random(99), 20_000) + ["4\n", "٣/2", "1" * 5000, f"1/{'8' * 4400}"]
+    corpus = literal_corpus(random.Random(99), 20_000) + ["4\n", "٣/2", f"1/{'8' * 4400}"]
+    corpus += PLAIN_DIGIT_EDGES
     differences = 0
     for text in corpus:
         expected = outcome(with_strict_grammar, text)
         assert outcome(Dyadic.from_string, text) == expected, repr(text)
         differences += expected != outcome(replaced_from_string, text)
     assert differences > 50
+
+
+def test_plain_digit_edges():
+    assert all(text.isdigit() for text in PLAIN_DIGIT_EDGES)
+    *non_ascii, leading_zeros, too_long = PLAIN_DIGIT_EDGES
+    for text in non_ascii:
+        with pytest.raises(ValueError) as exc:
+            Dyadic.from_string(text)
+        assert str(exc.value) == f"not a dyadic literal: {text!r}"
+    assert outcome(Dyadic.from_string, leading_zeros) == (7, 0)
+    with pytest.raises(ValueError, match=r"Exceeds the limit \(4300 digits\) for integer string"):
+        Dyadic.from_string(too_long)
 
 
 def entry_corpus(rng: random.Random, count: int) -> list[str]:

@@ -13,19 +13,21 @@ functions below), which must agree on every value, every canonical form,
 every error and every output schedule.
 """
 
+import json
 import random
 from dataclasses import FrozenInstanceError
 from fractions import Fraction
 
 import pytest
 
-from sharedsched import dyadic
+from sharedsched import cli, dyadic, engine
 from sharedsched.dyadic import ZERO, Dyadic, _clear_denominators
 from sharedsched.engine import (
     EvalReport,
     InfeasibleScheduleError,
     ProcessorEval,
     SyncSchedule,
+    _report_texts,
     check_feasible,
     evaluate,
     evaluate_sequence,
@@ -322,6 +324,101 @@ def test_evaluate_matches_fraction_oracle():
             assert [frac(b) for b in proc.overlaps] == [(p - t) / 2 for (p, _), t in zip(pairs, times)]
         assert frac(report.total) == expected_total
     assert 20 < infeasible < len(CASES) - 100  # both outcomes are exercised
+
+
+# -- report texts -----------------------------------------------------------------
+
+
+def text_cases():
+    """Feasible ``(inst, schedule)`` pairs: the seeded cases, one with every
+    start time an integer, one with two of three processors empty, one with
+    no jobs, and one processor whose scale passes 8192."""
+    cases = [(i, s) for i, s in CASES if outcome(evaluate, s, i)[0] == "ok"]
+    # p_i = T_i + 2 makes every T_{i+1} = T_i + 1 and every overlap 1
+    integral = Instance(tuple(Job(f"i{k}", k + 2, 1) for k in range(6)), 1)
+    cases.append((integral, SyncSchedule((tuple(job.id for job in integral.jobs),))))
+    sparse = Instance((Job("a", 3, 1), Job("b", 5, 2), Job("c", 1, 1)), 3)
+    cases.append((sparse, SyncSchedule(((), ("a", "b"), ()))))
+    cases.append((Instance((), 2), SyncSchedule(((), ()))))
+    tiny = Job("tiny", Dyadic.from_string("1/2^8192"), 1)
+    deep = Instance((tiny, Job("x", 1, 3), Job("y", 5, 1)), 1)
+    cases.append((deep, SyncSchedule((("tiny", "x", "y"),))))
+    return cases
+
+
+def test_report_texts_match_str_of_fields_and_fraction_oracle():
+    scales = []
+    for inst, schedule in text_cases():
+        lazy = evaluate(schedule, inst)
+        processors, jobs = _report_texts(lazy)
+        scales += [proc._scale for proc in lazy.processors]
+        report = evaluate(schedule, inst)  # its fields are Dyadic values, printed by str
+        assert len(processors) == inst.m
+        for (starts, bars), proc in zip(processors, report.processors):
+            assert starts == [str(t) for t in proc.start_times]
+            assert bars == [str(b) for b in proc.overlaps]
+            # str of a Fraction is its lowest terms: an odd numerator, or no denominator
+            ps = [frac(inst.job(j).p) for j in proc.order]
+            times = oracle_start_times(ps)
+            assert starts == [str(t) for t in times]
+            assert bars == [str((p - t) / 2) for p, t in zip(ps, times)]
+        assert jobs == {job_id: str(value) for job_id, value in report.job_overlaps.items()}
+        assert list(jobs) == [job.id for job in inst.jobs]
+        # a report built by the public constructors prints its stored fields
+        assert _report_texts(eager_copy(report)) == (processors, jobs)
+    assert max(scales) > 8192
+
+
+def test_report_texts_of_integer_times_and_empty_processors():
+    inst = Instance(tuple(Job(f"i{k}", k + 2, 1) for k in range(4)) + (Job("idle", 7, 1),), 3)
+    schedule = SyncSchedule(((), ("i0", "i1", "i2", "i3"), ()))
+    processors, jobs = _report_texts(evaluate(schedule, inst))
+    assert processors == [(["0"], []), (["0", "1", "2", "3", "4"], ["1"] * 4), (["0"], [])]
+    assert jobs == {"i0": "1", "i1": "1", "i2": "1", "i3": "1", "idle": "0"}
+
+
+def test_text_matches_str_of_the_value():
+    rng = random.Random(11)
+    dens = {}
+    for _ in range(3000):
+        e = rng.choice([0, 1, rng.randint(0, 40), rng.randint(0, 9000)])
+        num = rng.choice([0, 1, -1, rng.getrandbits(60) - (1 << 59)])
+        num <<= rng.choice([0, 0, rng.randint(0, e + 3)])
+        text = dyadic._text(num, e, dens)
+        assert text == dyadic._text(num, e) == str(dyadic._make(num, e)) == str(Fraction(num, 1 << e))
+    # every denominator text is kept under its reduced exponent
+    assert all(text == str(1 << e) for e, text in dens.items()) and 0 not in dens
+
+
+def test_eval_command_builds_dyadic_values_per_processor_not_per_job(tmp_path, monkeypatch, capsys):
+    calls = 0
+    make = dyadic._make
+
+    def counted(mantissa, exponent):
+        nonlocal calls
+        calls += 1
+        return make(mantissa, exponent)
+
+    monkeypatch.setattr(dyadic, "_make", counted)
+    monkeypatch.setattr(engine, "_make", counted)
+
+    def run(n, m):
+        nonlocal calls
+        rng = random.Random(n + m)
+        jobs = [{"id": f"j{i}", "p": str(rng.randint(1, 10**6)), "w": "3"} for i in range(n)]
+        order = sorted(jobs, key=lambda job: int(job["p"]))
+        procs = [{"id": k + 1, "order": [job["id"] for job in order[k::m]]} for k in range(m)]
+        (tmp_path / "i.json").write_text(json.dumps({"m": m, "jobs": jobs}))
+        (tmp_path / "s.json").write_text(json.dumps({"processors": procs}))
+        calls = 0
+        assert cli.main(["eval", str(tmp_path / "i.json"), str(tmp_path / "s.json")]) == 0
+        assert len(json.loads(capsys.readouterr().out)["job_overlaps"]) == n
+        return calls
+
+    base = run(400, 4)
+    assert base <= 2 * 4  # one value and one running sum per processor
+    assert run(800, 4) == base
+    assert run(400, 8) > base
 
 
 def test_sequence_functions_match_both_references():
