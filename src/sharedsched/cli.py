@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import engine
 from .dyadic import Dyadic
-from .model import Instance, InstanceError, _load_json, parse_instance, serialize_instance
+from .model import Instance, InstanceError, _instance_data, _load_json, parse_instance
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -59,8 +59,12 @@ def _text(value, to_text=str) -> str:
         ) from exc
 
 
+def _dumps(data) -> str:
+    return json.dumps(data, sort_keys=True)
+
+
 def _emit(data) -> None:
-    print(json.dumps(data, sort_keys=True))
+    print(_text(data, _dumps))
 
 
 def _read(path: str) -> bytes:
@@ -101,25 +105,6 @@ def _load_instance(path: str) -> Instance:
     return parse_instance(_read(path))
 
 
-def _report_text(report: engine.EvalReport) -> str:
-    """The report's JSON text, byte for byte as ``_emit`` would dump its
-    fields.  Each value text holds only ASCII digits, ``-`` and ``/``, which
-    JSON prints as they are, so only the job ids go through the encoder."""
-    processors, job_overlaps = engine._report_texts(report)
-    quote = json.encoder.encode_basestring_ascii  # what json.dumps applies to a str
-
-    def strings(texts: list[str]) -> str:
-        return '["' + '", "'.join(texts) + '"]' if texts else "[]"
-
-    procs = ", ".join(
-        f'{{"id": {proc.id}, "order": {json.dumps(proc.order)}, '
-        f'"overlaps": {strings(overlaps)}, "start_times": {strings(starts)}}}'
-        for proc, (starts, overlaps) in zip(report.processors, processors)
-    )
-    jobs = ", ".join(f'{quote(job_id)}: "{text}"' for job_id, text in sorted(job_overlaps.items()))
-    return f'{{"job_overlaps": {{{jobs}}}, "processors": [{procs}], "total": "{report.total}"}}'
-
-
 # Commands import solvers, transforms and hardness only when they use them,
 # so each process loads (and compiles) just the modules its command needs.
 
@@ -148,7 +133,7 @@ def _cmd_eval(args) -> int:
     inst = _load_instance(args.instance)
     schedule = _sync_schedule(_read(args.schedule), inst)
     report = engine.evaluate(schedule, inst)
-    print(_text(report, _report_text))
+    print(_text(report, engine._report_json))
     return EXIT_OK
 
 
@@ -242,25 +227,17 @@ def _cmd_gen_n3dm(args) -> int:
 
     inp = hardness.parse_n3dm(_read(args.n3dm))
     hi = hardness.gen_instance(inp)
-    instance_json = _text(hi.instance, serialize_instance)
-    provenance_json = _text(hi, hardness.serialize_provenance)  # holds M and K too
+    summary = {"M": hi.M, "m_param": hi.m_param, "K": hi.K}
+    instance = _text(hi.instance, _instance_data)
+    provenance = _text(hi, hardness._provenance_data)  # holds M and K too
     if args.out:
         out = Path(args.out)
-        sidecar_name = (
-            out.name[: -len(".json")] if out.name.endswith(".json") else out.name
-        ) + ".provenance.json"
-        _write_all({out: instance_json + "\n", out.parent / sidecar_name: provenance_json + "\n"})
-        _emit({"M": hi.M, "m_param": hi.m_param, "K": hi.K})
+        sidecar = out.parent / (out.name.removesuffix(".json") + ".provenance.json")
+        documents = {out: instance, sidecar: provenance}
+        _write_all({path: _text(data, _dumps) + "\n" for path, data in documents.items()})
+        _emit(summary)
     else:
-        _emit(
-            {
-                "M": hi.M,
-                "m_param": hi.m_param,
-                "K": hi.K,
-                "instance": json.loads(instance_json),
-                "provenance": json.loads(provenance_json),
-            }
-        )
+        _emit({**summary, "instance": instance, "provenance": provenance})
     return EXIT_OK
 
 
@@ -301,25 +278,21 @@ def _cmd_gantt(args) -> int:
     labels = [f"M{proc.id}" for proc in report.processors]
     labels += [f"P {job.id}" for job in inst.jobs]
     pad = max((len(label) for label in labels), default=0)
-    if horizon.sign <= 0:
-        for label in labels:
-            lines.append(f"{label.ljust(pad)} |{' ' * width}|")
-    else:
-        for proc in report.processors:
-            cells = [" "] * width
-            for start, end, job_id in zip(proc.start_times, proc.start_times[1:], proc.order):
-                lo = _bar_column(start, horizon, width)
-                hi = max(_bar_column(end, horizon, width), lo + 1)
-                hi = min(hi, width)
-                fill = (job_id * ((hi - lo) // len(job_id) + 1))[: hi - lo]
-                cells[lo:hi] = list(fill)
-            lines.append(f"{f'M{proc.id}'.ljust(pad)} |{''.join(cells)}|")
-        for job in inst.jobs:
-            cells = [" "] * width
-            hi = max(_bar_column(private_end[job.id], horizon, width), 1)
+    for proc in report.processors:
+        cells = [" "] * width
+        for start, end, job_id in zip(proc.start_times, proc.start_times[1:], proc.order):
+            lo = _bar_column(start, horizon, width)
+            hi = max(_bar_column(end, horizon, width), lo + 1)
             hi = min(hi, width)
-            cells[0:hi] = ["="] * hi
-            lines.append(f"{f'P {job.id}'.ljust(pad)} |{''.join(cells)}|")
+            fill = (job_id * ((hi - lo) // len(job_id) + 1))[: hi - lo]
+            cells[lo:hi] = list(fill)
+        lines.append(f"{f'M{proc.id}'.ljust(pad)} |{''.join(cells)}|")
+    for job in inst.jobs:
+        cells = [" "] * width
+        hi = max(_bar_column(private_end[job.id], horizon, width), 1)
+        hi = min(hi, width)
+        cells[0:hi] = ["="] * hi
+        lines.append(f"{f'P {job.id}'.ljust(pad)} |{''.join(cells)}|")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -151,40 +151,41 @@ class EvalReport(_Record):
         return value
 
 
-def _report_texts(report: EvalReport) -> tuple[list[tuple[list[str], list[str]]], dict[str, str]]:
-    """The output texts of a report: each processor's start times and
-    overlaps, and each job's overlap keyed as ``job_overlaps``.
+def _strings(texts: list[str]) -> list[str]:
+    """The pieces of the JSON array of ``texts``, each text a piece of its own."""
+    pieces = ['", "'] * (2 * len(texts) + 1)
+    pieces[0], pieces[-1] = '["', '"]'
+    pieces[1::2] = texts
+    return pieces if texts else ["[]"]
 
-    A report that :func:`evaluate` built is printed from the integers it
-    keeps, with no ``Dyadic`` per value; a job on no processor reads
-    ``"0"``.  Any other report prints its stored fields.  Either way each
-    text is ``str`` of the matching field, and each exponent's denominator
-    is converted once.  Raises ``ValueError`` for a value longer than
-    Python's int-to-str digit limit.
+
+def _report_json(report: EvalReport) -> str:
+    """The JSON text of a report that :func:`evaluate` built, byte for byte
+    ``json.dumps(..., sort_keys=True)`` of the ``str`` of each field, joined
+    once from pieces made from the integers the report keeps: no ``Dyadic``
+    per value, and each exponent's denominator converted once.  A value text
+    holds only ASCII digits, ``-`` and ``/``, which JSON prints as they are,
+    so only the job ids go through the JSON string encoder.  Raises
+    ``ValueError`` for a value longer than Python's int-to-str digit limit.
     """
     dens: dict[int, str] = {}
-    processors = []
-    on_processor = {}  # job id -> its overlap text
+    quote = json.encoder.encode_basestring_ascii  # what json.dumps applies to a str
+    procs = []
+    overlap_of = {}  # job id -> its overlap text; a job on no processor reads "0"
     for proc in report.processors:
-        state = proc.__dict__
-        if "_times" in state:
-            times, s = state["_times"], state["_scale"]
-            starts = [_text(t, s, dens) for t in times]
-            overlaps = [_text(b - a, s, dens) for a, b in zip(times, times[1:])]
-        else:
-            starts = [_text(v.mantissa, v.exponent, dens) for v in proc.start_times]
-            overlaps = [_text(v.mantissa, v.exponent, dens) for v in proc.overlaps]
-        processors.append((starts, overlaps))
-        on_processor.update(zip(proc.order, overlaps))
-    state = report.__dict__
-    if "_jobs" in state:
-        jobs = {job.id: on_processor.get(job.id, "0") for job in state["_jobs"]}
-    else:
-        jobs = {
-            job_id: on_processor.get(job_id) or str(value)
-            for job_id, value in report.job_overlaps.items()
-        }
-    return processors, jobs
+        times, s = proc._times, proc._scale
+        overlaps = [_text(b - a, s, dens) for a, b in zip(times, times[1:])]
+        overlap_of.update(zip(proc.order, overlaps))
+        procs.append(f'{{"id": {proc.id}, "order": {json.dumps(proc.order)}, "overlaps": ')
+        procs += (*_strings(overlaps), ', "start_times": ')
+        procs += (*_strings([_text(t, s, dens) for t in times]), "}, ")
+    procs[-1] = "}"  # a schedule has at least one processor
+    out = ['{"job_overlaps": {']
+    for job_id in sorted(job.id for job in report._jobs):
+        out += (", ", quote(job_id), ': "', overlap_of.get(job_id, "0"), '"')
+    del out[1:2]  # the first separator, if there is a job
+    out += ['}, "processors": [', *procs, f'], "total": "{report.total}"}}']
+    return "".join(out)
 
 
 def _times(items: Iterable) -> list[Dyadic]:

@@ -267,8 +267,8 @@ def parse_n3dm(text: bytes | str) -> N3DMInput:
     return N3DMInput(tuple(data["X"]), tuple(data["Y"]), tuple(data["Z"]), data["b"])
 
 
-def serialize_provenance(hi: HardInstance) -> str:
-    """Sidecar JSON tying each generated job back to its source entry."""
+def _provenance_data(hi: HardInstance) -> dict:
+    """The sidecar's JSON object, before it is dumped."""
     src = hi.source
     entries = []
     for job in hi.instance.jobs:
@@ -283,7 +283,7 @@ def serialize_provenance(hi: HardInstance) -> str:
                 "time": str(job.p),
             }
         )
-    data = {
+    return {
         "M": hi.M,
         "m_param": hi.m_param,
         "K": hi.K,
@@ -291,4 +291,8 @@ def serialize_provenance(hi: HardInstance) -> str:
         "n": src.n,
         "jobs": entries,
     }
-    return json.dumps(data, sort_keys=True)
+
+
+def serialize_provenance(hi: HardInstance) -> str:
+    """Sidecar JSON tying each generated job back to its source entry."""
+    return json.dumps(_provenance_data(hi), sort_keys=True)

@@ -29,7 +29,6 @@ __all__ = [
     "InstanceError",
     "parse_instance",
     "serialize_instance",
-    "json_to_dyadic",
 ]
 
 
@@ -52,20 +51,14 @@ def _load_json(text: bytes | str):
         raise InstanceError(f"malformed JSON: {exc}") from exc
 
 
-def json_to_dyadic(value, what: str) -> Dyadic:
+def _literal(raw, parsed: dict[str, Dyadic], label: str, *args) -> Dyadic:
     """Convert a JSON scalar to a Dyadic, rejecting floats and bad literals.
 
-    A literal whose exponent is too large raises ``OverflowError``; every
-    other bad value raises :class:`InstanceError`.  Both name ``what``.
-    """
-    return _literal(value, {}, "{}", what)
-
-
-def _literal(raw, parsed: dict[str, Dyadic], label: str, *args) -> Dyadic:
-    """:func:`json_to_dyadic` with ``parsed``, one document's memo of its
-    string literals: a Dyadic is immutable, so one value serves every repeat
-    of its literal.  Only literals that parsed are kept, so an error names the
-    first entry holding its literal, as ``label.format(*args)`` formatted then.
+    The error names the entry, ``label.format(*args)``: ``OverflowError`` for
+    an exponent too large, else :class:`InstanceError`.  ``parsed`` is one
+    document's memo of the string literals that parsed: a Dyadic is immutable,
+    so one value serves every repeat, and an error names the first entry
+    holding its literal.
     """
     try:
         if type(raw) is str:
@@ -242,10 +235,14 @@ def parse_instance(text: bytes | str) -> Instance:
     return Instance(tuple(jobs), data["m"])
 
 
-def serialize_instance(inst: Instance) -> str:
-    """Canonical JSON for an instance (inverse of :func:`parse_instance`)."""
-    data = {
+def _instance_data(inst: Instance) -> dict:
+    """The JSON object of an instance, before it is dumped."""
+    return {
         "m": inst.m,
         "jobs": [{"id": j.id, "p": str(j.p), "w": str(j.w)} for j in inst.jobs],
     }
-    return json.dumps(data, sort_keys=True)
+
+
+def serialize_instance(inst: Instance) -> str:
+    """Canonical JSON for an instance (inverse of :func:`parse_instance`)."""
+    return json.dumps(_instance_data(inst), sort_keys=True)

@@ -150,12 +150,19 @@ def brute_force(
             f"{n} jobs exceeds the limit of {limits.max_jobs}; raise max_jobs to force"
         )
     from . import _permsearch  # only brute loads the search module
-    order_work = sum(math.comb(n, k) * math.factorial(k) for k in range(n + 1))
-    assign_work = _permsearch._labelling_count(n, inst.m)
-    if order_work + assign_work > limits.max_candidates:
+    # the order prefixes, the sum of n!/(n-k)!, then the labellings the sweep
+    # visits; counting stops once past the limit, since the full count is huge
+    work = term = 1
+    for factor in range(n, 0, -1):
+        term *= factor
+        work += term
+        if work > limits.max_candidates:
+            break
+    else:
+        work += _permsearch._labelling_count(n, inst.m)
+    if work > limits.max_candidates:
         raise InstanceTooLargeError(
-            f"about {order_work + assign_work} candidates exceeds "
-            f"max_candidates = {limits.max_candidates}"
+            f"more than max_candidates = {limits.max_candidates} candidates to search"
         )
     ps, p_exp = _clear_denominators([job.p for job in inst.jobs])
     ws, w_exp = _clear_denominators([job.w for job in inst.jobs])

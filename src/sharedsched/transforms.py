@@ -35,12 +35,13 @@ needs.  ``Dyadic`` values are built only where results and messages leave.
 from __future__ import annotations
 
 import json
+import math
 from collections import Counter
 from typing import Mapping
 
 from .dyadic import Dyadic, _clear_denominators, _make, as_dyadic
 from .engine import SyncSchedule, evaluate
-from .model import Instance, InstanceError, _job_id, _literal, _load_json, _Record
+from .model import Instance, InstanceError, _job_id, _literal, _load_json, _Record, _trusted
 
 __all__ = [
     "JobPlacement",
@@ -172,14 +173,18 @@ class _Grid:
         return [self.chunks[p] for p in sorted(p for p in self.chunks if p is not None)]
 
     def schedule(self) -> GeneralSchedule:
+        # trusted: in a valid grid each job's spans come sorted from one list
         s, procs, c = self.scale, self.procs, self.private
         spans: dict[str, list] = {job_id: [] for job_id in c}
         for chunks in self.chunks.values():
             for a, b, job_id in chunks:
                 spans[job_id].append((_make(a, s), _make(b, s)))
-        return GeneralSchedule(
-            {j: JobPlacement(procs[j] if v else None, v, _make(c[j], s)) for j, v in spans.items()}
-        )
+        placements = {}
+        for j, v in spans.items():
+            fields = {"processor": procs[j] if v else None, "intervals": tuple(v)}
+            fields["private_completion"] = _make(c[j], s)
+            placements[j] = _trusted(JobPlacement, fields)
+        return GeneralSchedule(placements)
 
 
 def _weights(grid: _Grid, inst: Instance) -> tuple[dict, int]:
@@ -222,6 +227,18 @@ def _ordered(grid: _Grid) -> bool:
 # -- validation ------------------------------------------------------------------
 
 
+def _shown(value: Dyadic) -> str:
+    """``str(value)`` or, for a value longer than Python's int-to-str digit
+    limit, the digit count of its numerator."""
+    try:
+        return str(value)
+    except ValueError:
+        num = abs(value.mantissa)
+        digits = int(math.log10(num)) + 1  # the float may be one off near a power of ten
+        digits += (num >= 10**digits) - (num < 10 ** (digits - 1))
+        return f"a number with a {digits}-digit numerator"
+
+
 def _violations(grid: _Grid, inst: Instance | None = None) -> list[str]:
     def t(x: int) -> Dyadic:  # the time a grid integer stands for
         return _make(x, grid.scale)
@@ -261,7 +278,8 @@ def _violations(grid: _Grid, inst: Instance | None = None) -> list[str]:
             expected = inst.job(job_id).p
             if total << expected.exponent != expected.mantissa << grid.scale:
                 out.append(
-                    f"job {job_id!r}: length mismatch (intervals sum to {t(total)}, p = {expected})"
+                    f"job {job_id!r}: length mismatch "
+                    f"(intervals sum to {_shown(t(total))}, p = {expected})"
                 )
     for proc in sorted(p for p in grid.chunks if p is not None):
         chunks = grid.chunks[proc]
@@ -661,9 +679,8 @@ def synchronize_detailed(g: GeneralSchedule, inst: Instance) -> SynchronizeRepor
     weights = _weights(grid, inst)
     value_before = _value(grid, weights)
     pass_values = []
-    for name, (run, needs) in _PASSES.items():
-        _enter(grid, name, needs)
-        run(grid)
+    for name, (run, _) in _PASSES.items():
+        run(grid)  # each pass's output meets the next one's entry checks
         pass_values.append((name, _value(grid, weights)))
     steps = _rebalance(grid, weights[0], 2 * len(inst))
     _require(grid, inst)

@@ -11,9 +11,9 @@ from pathlib import Path
 import pytest
 
 import sharedsched
-from sharedsched.cli import _report_text, main
+from sharedsched.cli import main
 from sharedsched.dyadic import Dyadic
-from sharedsched.engine import SyncSchedule, evaluate, serialize_sync_schedule
+from sharedsched.engine import SyncSchedule, _report_json, evaluate, serialize_sync_schedule
 from sharedsched.model import Instance, Job, parse_instance
 from sharedsched.solvers import SearchLimits, brute_force
 
@@ -94,6 +94,17 @@ def test_brute_too_large_exits_4(workdir, capsys):
     inst = write("big.json", f'{{"m":1,"jobs":[{jobs}]}}')
     assert run(capsys, "brute", inst)[0] == 4
     assert run(capsys, "brute", inst, "--max-jobs", "9")[0] == 0
+
+
+@pytest.mark.parametrize("n", [1600, 3000])
+def test_brute_refuses_many_jobs_by_candidates_at_once(workdir, capsys, n):
+    # the full count of order prefixes has more digits than str() prints from 1559 jobs on
+    _, write = workdir
+    jobs = [{"id": f"j{i}", "p": str(i + 1), "w": "1"} for i in range(n)]
+    inst = write("many.json", json.dumps({"m": 2, "jobs": jobs}))
+    code, out, err = run(capsys, "brute", inst, "--max-jobs", str(n))
+    assert (code, out) == (4, "")
+    assert err == "error: more than max_candidates = 10000000 candidates to search\n"
 
 
 @pytest.mark.parametrize("value", ["0", "-1"])
@@ -188,7 +199,7 @@ def test_eval_text_matches_json_dumps_of_the_replaced_dict():
         schedule = SyncSchedule(tuple(tuple(j.id for j in sorted(b, key=lambda j: j.p)) for b in buckets))
         report = evaluate(schedule, Instance(jobs, m))
         expected = json.dumps(replaced_report_json(evaluate(schedule, Instance(jobs, m))), sort_keys=True)
-        assert _report_text(report) == expected
+        assert _report_json(report) == expected
         compared += bool(jobs)
     assert compared > 250
 
@@ -299,6 +310,22 @@ def test_transform_invalid_exits_5(workdir, capsys):
     assert run(capsys, "transform", inst, general)[0] == 5
 
 
+@pytest.mark.parametrize("command", ["transform", "check"])
+def test_length_sum_too_long_to_print_exits_5(workdir, capsys, command):
+    # an interval end and a private completion of 4300 digits sum to 4301
+    _, write = workdir
+    big = "9" * 4300
+    inst = write("i.json", '{"m":1,"jobs":[{"id":"a","p":"5","w":"1"}]}')
+    job = {"id": "a", "shared_processor": 1, "shared_intervals": [["0", big]], "private_completion": big}
+    general = write("g.json", json.dumps({"jobs": [job]}))
+    code, out, err = run(capsys, command, inst, general)
+    assert (code, out) == (5, "")
+    assert err == (
+        "error: invalid schedule: job 'a': length mismatch "
+        "(intervals sum to a number with a 4301-digit numerator, p = 5)\n"
+    )
+
+
 def test_check_properties(workdir, capsys):
     _, write = workdir
     inst = write(
@@ -330,6 +357,41 @@ def test_check_inclusive_fail(workdir, capsys):
     props = json.loads(out)["properties"]
     assert code == 0
     assert not props["inclusive"]["pass"]
+    # inclusive in processing times, not in weights
+    inst = write(
+        "w.json", '{"m":1,"jobs":[{"id":"a","p":"8","w":"1"},{"id":"b","p":"9","w":"4"}]}'
+    )
+    code, out, _ = run(capsys, "check", inst, sched, "--properties", "inclusive")
+    assert code == 0
+    assert json.loads(out)["properties"]["inclusive"] == {
+        "failures": ["job set is not weight-inclusive"],
+        "pass": False,
+    }
+
+
+def test_check_infeasible_synchronized_schedule(workdir, capsys):
+    _, write = workdir
+    inst = write(
+        "i.json", '{"m":1,"jobs":[{"id":"a","p":"4","w":"1"},{"id":"b","p":"2","w":"1"}]}'
+    )
+    sched = write("s.json", '{"processors":[{"id":1,"order":["a","b"]}]}')
+    code, out, _ = run(capsys, "check", inst, sched, "--properties", "ordered,synchronized")
+    assert code == 0
+    failed = {"failures": ["processor 1: infeasible at position 2"], "pass": False}
+    assert json.loads(out)["properties"] == {"ordered": failed, "synchronized": failed}
+
+
+def test_check_invalid_general_schedule_exits_5(workdir, capsys):
+    _, write = workdir
+    inst = write("i.json", '{"m":1,"jobs":[{"id":"a","p":"4","w":"1"}]}')
+    general = write(
+        "g.json",
+        '{"jobs":[{"id":"a","shared_processor":null,"shared_intervals":[],'
+        '"private_completion":"1"}]}',
+    )
+    code, out, err = run(capsys, "check", inst, general)
+    assert (code, out) == (5, "")
+    assert err == "error: invalid schedule: job 'a': length mismatch (intervals sum to 1, p = 4)\n"
 
 
 def test_check_general_schedule(workdir, capsys):
@@ -474,7 +536,14 @@ def test_gantt_full_text(workdir, capsys):
     )
 
 
-@pytest.mark.parametrize("value", ["0", "-5"])
+WIDTH_ERRORS = {
+    "0": "must be at least 1, got 0",
+    "-5": "must be at least 1, got -5",
+    "abc": "invalid int value: 'abc'",
+}
+
+
+@pytest.mark.parametrize("value", list(WIDTH_ERRORS))
 def test_gantt_nonpositive_width_exits_2(workdir, capsys, value):
     _, write = workdir
     inst = write("i.json", '{"m":1,"jobs":[{"id":"a","p":"4","w":"1"}]}')
@@ -482,7 +551,19 @@ def test_gantt_nonpositive_width_exits_2(workdir, capsys, value):
     with pytest.raises(SystemExit) as exc:
         main(["gantt", inst, sched, "--width", value])
     assert exc.value.code == 2
-    assert "--width" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.endswith(f"sharedsched gantt: error: argument --width: {WIDTH_ERRORS[value]}\n")
+
+
+def test_gantt_no_jobs_prints_blank_rows(workdir, capsys):
+    _, write = workdir
+    inst = write("i.json", '{"m":2,"jobs":[]}')
+    sched = write("s.json", '{"processors":[]}')
+    assert run(capsys, "gantt", inst, sched, "--width", "5") == (
+        0,
+        "time 0..0  (5 columns)\nM1 |     |\nM2 |     |\n",
+        "",
+    )
 
 
 def test_gantt_infeasible_exits_5(workdir, capsys):
@@ -529,6 +610,17 @@ def test_value_too_long_to_print_exits_4(workdir, capsys, command):
     assert out == ""
     assert err.startswith("error: a result value has more than 4300") and err.count("\n") == 1
     assert not (tmp_path / "hard.json").exists()
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_gen_n3dm_parameter_too_long_to_print_exits_4(workdir, capsys, out):
+    # with b = 2 * 10**2149 every job time has 4300 digits, but K = 4M + ... has 4301
+    tmp_path, write = workdir
+    argv = ["gen-n3dm", write("n.json", '{"X":[0],"Y":[0],"Z":[0],"b":%d}' % (2 * 10**2149))]
+    if out:
+        argv += ["--out", str(tmp_path / "hard.json")]
+    assert run(capsys, *argv) == (4, "", "error: a result value has more than 4300 decimal digits\n")
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["n.json"]
 
 
 def _run_capped(*argv) -> subprocess.CompletedProcess:

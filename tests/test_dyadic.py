@@ -35,6 +35,8 @@ def test_constructor_rejections():
         Dyadic(1.5)  # type: ignore[arg-type]
     with pytest.raises(TypeError):
         Dyadic(True)  # type: ignore[arg-type]
+    with pytest.raises(TypeError, match="^exponent must be an int, got bool$"):
+        Dyadic(1, True)  # type: ignore[arg-type]
 
 
 def test_immutable():

@@ -225,8 +225,12 @@ def test_v_shape_examples():
 
 
 def test_reverse_dual_rejects_non_inclusive():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^job set is not weight-inclusive; duality not guaranteed$"):
         reverse_dual(jobs_of((3, 1), (4, 2)))  # weights {1, 2} fail the test
+    with pytest.raises(
+        ValueError, match="^job set is not processing-time-inclusive; duality not guaranteed$"
+    ):
+        reverse_dual(jobs_of((2, 8), (4, 9)))  # times {2, 4} fail it
 
 
 def test_reverse_dual_p_equals_w():

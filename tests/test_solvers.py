@@ -41,6 +41,9 @@ def test_positional_weights_examples():
     assert tiny.k == 1 and tiny.tail == 2
     assert tiny.weights == (D(1, 1), D(1, 1))
     assert positional_weights(0, 3).weights == ()
+    for n, m in ((-1, 1), (3, 0)):
+        with pytest.raises(ValueError, match="^need n >= 0 and m >= 1$"):
+            positional_weights(n, m)
 
 
 def test_positional_weights_shape(rng):

@@ -334,6 +334,63 @@ def test_push_preconditions():
         push(pulled, 1, 2, D(100))
 
 
+@pytest.mark.parametrize(
+    "move, g, eps, message",
+    [
+        # a private completion falls along the shared order
+        (pull, schedule(a=(1, ((0, 2),), 6), b=(1, ((2, 4),), 4)), D(1), "pull requires an ordered schedule"),
+        (
+            pull,
+            schedule(a=(1, ((0, 2),), 2), b=(1, ((2, 4),), 5)),
+            D(1),
+            "job 'b' at or after position 2 is not synchronized",
+        ),
+        (
+            push,
+            schedule(a=(1, ((0, 2),), 10), b=(1, ((2, D(5, 1)),), D(5, 1))),
+            D(2),
+            "eps = 2 exceeds 2^1 times the shared length of 'b'",
+        ),
+        (
+            pull,
+            schedule(a=(1, ((0, 2),), 2), b=(1, ((3, 5),), 5)),
+            D(1),
+            "processor 1: idle time before job 'b'; "
+            "the move's exact value accounting needs a contiguous span",
+        ),
+    ],
+)
+def test_move_preconditions_name_the_failure(move, g, eps, message):
+    with pytest.raises(PreconditionError) as exc:
+        move(g, 1, 2, eps)
+    assert str(exc.value) == message
+
+
+def test_validate_negative_private_completion_and_gap_free():
+    inst = make_instance([("a", 4, 1)], 1)
+    assert validate(schedule(a=(None, (), -1)), inst) == [
+        "job 'a': private completion < 0",
+        "job 'a': length mismatch (intervals sum to -1, p = 4)",
+    ]
+    assert not is_gap_free(schedule(a=(1, ((0, 2),), 2), b=(1, ((3, 5),), 5)))
+    assert is_gap_free(schedule(a=(1, ((0, 2),), 2), b=(1, ((2, 5),), 5)))
+
+
+def test_length_sum_past_the_print_limit_is_counted_not_printed():
+    # each value has 4300 digits, their sum 4301: past Python's int-to-str limit
+    big = D(int("9" * 4300))
+    inst = make_instance([("a", 5, 1)], 1)
+    expected = "job 'a': length mismatch (intervals sum to a number with a 4301-digit numerator, p = 5)"
+    assert validate(schedule(a=(1, ((0, big),), big)), inst) == [expected]
+    half = big.mul_pow2(-1)
+    assert validate(schedule(a=(1, ((0, half),), big)), inst) == [expected]  # 3*big / 2
+    assert validate(schedule(a=(1, ((big, 0),), -big)), inst) == [
+        "job 'a': private completion < 0",
+        f"job 'a': empty or reversed interval ({big}, 0)",
+        expected,
+    ]
+
+
 def test_pull_push_random_deltas(rng):
     for _ in range(100):
         k = rng.randint(2, 6)
@@ -430,6 +487,15 @@ def test_general_schedule_roundtrip():
     text = serialize_general_schedule(g)
     assert parse_general_schedule(text) == g
     assert serialize_general_schedule(parse_general_schedule(text)) == text
+
+
+def test_shared_intervals_must_be_a_list():
+    with pytest.raises(InstanceError) as exc:
+        parse_general_schedule(
+            '{"jobs": [{"id": "a", "shared_processor": 1, "shared_intervals": "x", '
+            '"private_completion": "1"}]}'
+        )
+    assert str(exc.value) == "job 'a': shared_intervals must be a list"
 
 
 def test_general_schedule_parse_errors():
