@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import engine
 from .dyadic import Dyadic
-from .model import Instance, InstanceError, _instance_data, _load_json, parse_instance
+from .model import Instance, InstanceError, Job, _instance_data, _load_json, parse_instance
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -154,33 +154,37 @@ def _cmd_transform(args) -> int:
     return EXIT_OK
 
 
-def _sync_schedule(text: bytes, inst: Instance) -> engine.SyncSchedule:
-    """Parse a synchronized schedule; unknown job ids are a parse-level
+def _jobs(sequences, inst: Instance) -> list[list[Job]]:
+    """Each processor's jobs in order; an unknown job id is a parse-level
     error, reported for the first one in processor order."""
+    return [[inst.job(job_id) for job_id in seq] for seq in sequences]
+
+
+def _sync_schedule(text: bytes, inst: Instance) -> engine.SyncSchedule:
+    """Parse a synchronized schedule whose job ids all name jobs of ``inst``."""
     schedule = engine.parse_sync_schedule(text, inst.m)
-    for seq in schedule.sequences:
-        for job_id in seq:
-            inst.job(job_id)
+    _jobs(schedule.sequences, inst)
     return schedule
 
 
-def _sequences_for_check(text: bytes, inst: Instance):
-    """Either schedule format, reduced to per-processor job-id orders
-    plus (for the general format) the parsed schedule itself."""
-    data = _load_json(text)
+def _structure(data, inst: Instance) -> tuple[list[list[Job]], dict[str, list[str]]]:
+    """Each processor's jobs in order, and the failures of "ordered" and
+    "synchronized", for a decoded schedule of either format; a synchronized
+    schedule is the object with key "processors"."""
     if isinstance(data, dict) and "processors" in data:
-        return _sync_schedule(text, inst).sequences, None
+        jobs = _jobs(engine._read_sync_schedule(data, inst.m).sequences, inst)
+        # a synchronized schedule is ordered and synchronized exactly when feasible
+        bad = [(proc, engine.check_feasible(seq)) for proc, seq in enumerate(jobs, start=1)]
+        failures = [f"processor {proc}: infeasible at position {at}" for proc, at in bad if at]
+        return jobs, {"ordered": failures, "synchronized": failures}
     from . import transforms
 
-    general = transforms.parse_general_schedule(text)
-    violations = transforms.validate(general, inst)
-    if violations:
-        raise transforms.InvalidScheduleError(violations)
-    sequences = tuple(
-        tuple(job_id for _, _, job_id in general.chunks_on(proc))
-        for proc in range(1, inst.m + 1)
-    )
-    return sequences, general
+    orders, *holds = transforms._structure(transforms._read_general_schedule(data), inst)
+    failures = {
+        name: [] if ok else [f"schedule is not {name}"]
+        for name, ok in zip(("ordered", "synchronized"), holds)
+    }
+    return _jobs(orders, inst), failures
 
 
 def _cmd_check(args) -> int:
@@ -191,33 +195,16 @@ def _cmd_check(args) -> int:
             raise InstanceError(
                 f"unknown property {name!r}; choose from {', '.join(_PROPERTIES)}"
             )
-    sequences, general = _sequences_for_check(_read(args.schedule), inst)
-    results = {}
-    for name in wanted:
-        failures = []
-        if name == "v-shape":
-            for proc, seq in enumerate(sequences, start=1):
-                if not engine.is_v_shaped([inst.job(j) for j in seq]):
-                    failures.append(f"processor {proc}: order {list(seq)} is not V-shaped")
-        elif name in ("ordered", "synchronized"):
-            if general is not None:
-                from . import transforms
-
-                holds = transforms.is_ordered if name == "ordered" else transforms.is_synchronized
-                if not holds(general):
-                    failures.append(f"schedule is not {name}")
-            else:
-                # a synchronized schedule is ordered and synchronized exactly when feasible
-                for proc, seq in enumerate(sequences, start=1):
-                    bad = engine.check_feasible([inst.job(j) for j in seq])
-                    if bad is not None:
-                        failures.append(f"processor {proc}: infeasible at position {bad}")
-        elif name == "inclusive":
-            if not engine.is_processing_time_inclusive(inst.jobs):
-                failures.append("job set is not processing-time-inclusive")
-            if not engine.is_weight_inclusive(inst.jobs):
-                failures.append("job set is not weight-inclusive")
-        results[name] = {"pass": not failures, "failures": failures}
+    jobs, failures = _structure(_load_json(_read(args.schedule)), inst)
+    if "v-shape" in wanted:
+        failures["v-shape"] = [
+            f"processor {proc}: order {[job.id for job in seq]} is not V-shaped"
+            for proc, seq in enumerate(jobs, start=1)
+            if not engine.is_v_shaped(seq)
+        ]
+    if "inclusive" in wanted:
+        failures["inclusive"] = engine._inclusivity_failures(inst.jobs)
+    results = {name: {"pass": not failures[name], "failures": failures[name]} for name in wanted}
     _emit({"properties": results})
     return EXIT_OK
 

@@ -74,24 +74,26 @@ class Dyadic:
     def from_string(cls, text: str) -> "Dyadic":
         """Parse ``"n"``, ``"n/d"`` (d a power of two) or ``"n/2^k"``.
 
-        Raises ``ValueError`` for any other text and ``OverflowError`` for
-        an exponent above :data:`_MAX_EXPONENT`.
+        Raises ``ValueError`` for any other text, or for a number in it
+        longer than Python's int-from-str digit limit, and ``OverflowError``
+        for an exponent above :data:`_MAX_EXPONENT`.
         """
         if text.isdigit() and text.isascii():  # plain digits: the common literal
-            return _store(_new(cls), int(text), 0)
+            try:
+                return _store(_new(cls), int(text), 0)
+            except ValueError:  # past Python's int-from-str digit limit
+                raise _too_long() from None
         match = _LITERAL_RE.fullmatch(text)
         if not match:
             raise ValueError(f"not a dyadic literal: {text!r}")
         num, exp, den = match.groups()
-        if den is None:
-            mantissa = int(num)
-            exponent = int(exp) if exp else 0
-        else:
-            den = int(den)
-            if den <= 0 or den & (den - 1):
-                raise ValueError(f"denominator is not a power of two: {text!r}")
-            exponent = den.bit_length() - 1
-            mantissa = int(num)
+        try:
+            mantissa, exponent, den = int(num), int(exp or 0), int(den or 1)
+        except ValueError:
+            raise _too_long() from None
+        if den <= 0 or den & (den - 1):
+            raise ValueError(f"denominator is not a power of two: {text!r}")
+        exponent += den.bit_length() - 1  # one of exp and den is absent
         if exponent > _MAX_EXPONENT:
             raise OverflowError(
                 f"exponent {exponent} exceeds the limit of {_MAX_EXPONENT}: {text!r}"
@@ -275,6 +277,15 @@ def _text(num: int, e: int, dens: dict[int, str] | None = None) -> str:
     if den is None:
         den = dens[e] = str(1 << e)
     return f"{num}/{den}"
+
+
+def _too_long() -> ValueError:
+    """The error for a number longer than Python's int-from-str digit limit.
+
+    It replaces CPython's own text, which differs between versions and
+    names a function to call.
+    """
+    return ValueError(f"a number has more than {sys.get_int_max_str_digits()} digits")
 
 
 def _clear_denominators(values: Sequence[Dyadic]) -> tuple[list[int], int]:

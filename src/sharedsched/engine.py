@@ -377,6 +377,12 @@ def is_weight_inclusive(jobs: Iterable) -> bool:
     return _is_inclusive(_weights(jobs))
 
 
+def _inclusivity_failures(jobs: Sequence) -> list[str]:
+    """The inclusivity tests a job set fails, processing times first."""
+    values = {"processing-time": _times(jobs), "weight": _weights(jobs)}
+    return [f"job set is not {k}-inclusive" for k, v in values.items() if not _is_inclusive(v)]
+
+
 def is_v_shaped(perm: Sequence) -> bool:
     """Processing times non-increasing then non-decreasing (ties allowed)."""
     ps = _times(perm)
@@ -396,10 +402,9 @@ def reverse_dual(perm: Sequence[Job]) -> list[Job]:
     ValueError, since without them the reversed order may be infeasible.
     """
     jobs = list(perm)
-    if not is_processing_time_inclusive(jobs):
-        raise ValueError("job set is not processing-time-inclusive; duality not guaranteed")
-    if not is_weight_inclusive(jobs):
-        raise ValueError("job set is not weight-inclusive; duality not guaranteed")
+    failures = _inclusivity_failures(jobs)
+    if failures:
+        raise ValueError(f"{failures[0]}; duality not guaranteed")
     return [Job(job.id, job.w, job.p) for job in reversed(jobs)]
 
 
@@ -411,7 +416,11 @@ def parse_sync_schedule(text: bytes | str, m: int) -> SyncSchedule:
 
     Processors absent from the list are empty; ids must lie in 1..m.
     """
-    data = _load_json(text)
+    return _read_sync_schedule(_load_json(text), m)
+
+
+def _read_sync_schedule(data, m: int) -> SyncSchedule:
+    """The synchronized schedule in decoded JSON ``data``."""
     if not isinstance(data, dict) or "processors" not in data:
         raise InstanceError('schedule must be an object with key "processors"')
     raw = data["processors"]

@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from operator import attrgetter
 
-from .dyadic import Dyadic, as_dyadic
+from .dyadic import Dyadic, _too_long, as_dyadic
 
 __all__ = [
     "Job",
@@ -39,16 +39,20 @@ class InstanceError(ValueError):
 def _load_json(text: bytes | str):
     """Decode JSON input; any failure to read it is an :class:`InstanceError`.
 
-    Past ``JSONDecodeError`` this covers a ``ValueError`` for an integer
-    literal longer than Python's int-from-str digit limit and a
-    ``RecursionError`` for arrays or objects nested too deeply.
+    Past ``JSONDecodeError`` this covers an integer literal longer than
+    Python's int-from-str digit limit, reported in the package's own words
+    (:func:`~sharedsched.dyadic._too_long`), and a ``RecursionError`` for
+    arrays or objects nested too deeply.
     """
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
         return json.loads(text)
     except (ValueError, RecursionError) as exc:
-        raise InstanceError(f"malformed JSON: {exc}") from exc
+        # only the digit limit raises a plain ValueError: JSONDecodeError and
+        # UnicodeDecodeError are subclasses
+        reason = _too_long() if type(exc) is ValueError else exc
+        raise InstanceError(f"malformed JSON: {reason}") from exc
 
 
 def _literal(raw, parsed: dict[str, Dyadic], label: str, *args) -> Dyadic:

@@ -353,9 +353,27 @@ def is_ordered(g: GeneralSchedule) -> bool:
 def is_synchronized(g: GeneralSchedule) -> bool:
     """Normal, non-preemptive, and every shared job finishes on both
     processors at the same instant."""
+    return _synchronized(_Grid(g))
+
+
+def _synchronized(grid: _Grid) -> bool:
+    # a job whose shared work ends with its private work is normal too
+    c = grid.private
+    return _non_preemptive(grid) and all(b == c[job_id] for job_id, b in _last_ends(grid).items())
+
+
+def _orders(grid: _Grid, m: int) -> tuple[tuple[str, ...], ...]:
+    """The job ids of each processor 1..m in shared order, one per chunk."""
+    return tuple(tuple(c[2] for c in grid.chunks.get(p, ())) for p in range(1, m + 1))
+
+
+def _structure(g: GeneralSchedule, inst: Instance) -> tuple[tuple, bool, bool]:
+    """A valid schedule's :func:`_orders`, whether it is ordered and whether
+    it is synchronized, from one grid; an invalid one raises
+    :class:`InvalidScheduleError`."""
     grid = _Grid(g)
-    synced = all(b == grid.private[job_id] for job_id, b in _last_ends(grid).items())
-    return synced and _normal(grid) and _non_preemptive(grid)
+    _require(grid, inst)
+    return _orders(grid, inst.m), _ordered(grid), _synchronized(grid)
 
 
 # -- pipeline passes ---------------------------------------------------------------
@@ -686,8 +704,7 @@ def synchronize_detailed(g: GeneralSchedule, inst: Instance) -> SynchronizeRepor
     _require(grid, inst)
     value_after = _value(grid, weights)
     pass_values.append(("rebalance", value_after))
-    sequences = tuple(tuple(c[2] for c in grid.chunks.get(p, ())) for p in range(1, inst.m + 1))
-    schedule, values = SyncSchedule(sequences), tuple(pass_values)
+    schedule, values = SyncSchedule(_orders(grid, inst.m)), tuple(pass_values)
     return SynchronizeReport(schedule, grid.schedule(), value_before, value_after, steps, values)
 
 
@@ -717,7 +734,11 @@ def from_synchronized(schedule: SyncSchedule, inst: Instance) -> GeneralSchedule
 def parse_general_schedule(text: bytes | str) -> GeneralSchedule:
     """Parse ``{"jobs": [{"id", "shared_processor", "shared_intervals",
     "private_completion"}, ...]}`` with dyadic-string endpoints."""
-    data = _load_json(text)
+    return _read_general_schedule(_load_json(text))
+
+
+def _read_general_schedule(data) -> GeneralSchedule:
+    """The general schedule in decoded JSON ``data``."""
     if not isinstance(data, dict) or "jobs" not in data or not isinstance(data["jobs"], list):
         raise InstanceError('general schedule must be an object with a "jobs" list')
     placements = {}

@@ -6,16 +6,47 @@ import random
 import resource
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import sharedsched
+from sharedsched import transforms
 from sharedsched.cli import main
 from sharedsched.dyadic import Dyadic
-from sharedsched.engine import SyncSchedule, _report_json, evaluate, serialize_sync_schedule
-from sharedsched.model import Instance, Job, parse_instance
+from sharedsched.engine import (
+    SyncSchedule,
+    _report_json,
+    check_feasible,
+    evaluate,
+    is_processing_time_inclusive,
+    is_v_shaped,
+    is_weight_inclusive,
+    parse_sync_schedule,
+    serialize_sync_schedule,
+)
+from sharedsched.model import Instance, InstanceError, Job, parse_instance, serialize_instance
 from sharedsched.solvers import SearchLimits, brute_force
+from sharedsched.transforms import (
+    GeneralSchedule,
+    JobPlacement,
+    compact_idle,
+    from_synchronized,
+    is_ordered,
+    is_synchronized,
+    merge_preemptions,
+    normalize,
+    parse_general_schedule,
+    reorder,
+    serialize_general_schedule,
+    synchronize,
+    validate,
+)
+
+from conftest import make_instance, random_general_schedule
+
+CHECK_PROPERTIES = ["v-shape", "ordered", "synchronized", "inclusive"]
 
 FIVE_JOBS = (
     '{"m": 2, "jobs": ['
@@ -415,6 +446,144 @@ def test_check_unknown_property(workdir, capsys):
     assert run(capsys, "check", inst, sched, "--properties", "bogus")[0] == 2
 
 
+def replaced_check(inst, text, wanted):
+    """``check``'s (exit code, stdout, stderr) by the route it replaced:
+    the public predicates on a re-parsed schedule, with the job orders of
+    a general schedule read through ``chunks_on``."""
+    data = json.loads(text)
+    try:
+        if isinstance(data, dict) and "processors" in data:
+            general, sequences = None, parse_sync_schedule(text, inst.m).sequences
+            for seq in sequences:
+                for job_id in seq:
+                    inst.job(job_id)
+        else:
+            general = parse_general_schedule(text)
+            violations = validate(general, inst)
+            if violations:
+                return 5, "", f"error: invalid schedule: {'; '.join(violations)}\n"
+            procs = range(1, inst.m + 1)
+            sequences = [[job_id for _, _, job_id in general.chunks_on(proc)] for proc in procs]
+    except InstanceError as exc:
+        return 2, "", f"error: {exc}\n"
+    results = {}
+    for name in wanted:
+        failures = []
+        for proc, seq in enumerate(sequences, start=1):
+            jobs = [inst.job(job_id) for job_id in seq]
+            if name == "v-shape" and not is_v_shaped(jobs):
+                failures.append(f"processor {proc}: order {list(seq)} is not V-shaped")
+            bad = check_feasible(jobs)
+            if name in ("ordered", "synchronized") and general is None and bad is not None:
+                failures.append(f"processor {proc}: infeasible at position {bad}")
+        holds = {"ordered": is_ordered, "synchronized": is_synchronized}.get(name)
+        if holds and general is not None and not holds(general):
+            failures.append(f"schedule is not {name}")
+        if name == "inclusive":
+            if not is_processing_time_inclusive(inst.jobs):
+                failures.append("job set is not processing-time-inclusive")
+            if not is_weight_inclusive(inst.jobs):
+                failures.append("job set is not weight-inclusive")
+        results[name] = {"pass": not failures, "failures": failures}
+    return 0, json.dumps({"properties": results}, sort_keys=True) + "\n", ""
+
+
+def check_cases(rng, count):
+    """Seeded (instance, schedule text) pairs in both formats: valid general
+    schedules (some ordered, some synchronized), invalid ones, and job
+    orders that are often infeasible and sometimes name an unknown job."""
+    for _ in range(count):
+        general, inst = random_general_schedule(rng)
+        kind = rng.randrange(5)
+        if kind == 0 and rng.random() < 0.5:  # a length mismatch: invalid
+            job_id = rng.choice(sorted(general.placements))
+            placement = general.placements[job_id]
+            late = JobPlacement(placement.processor, placement.intervals, placement.private_completion + 1)
+            general = GeneralSchedule({**general.placements, job_id: late})
+        elif kind == 1:
+            general = reorder(merge_preemptions(compact_idle(normalize(general))))
+        elif kind == 2:
+            general = from_synchronized(synchronize(general, inst), inst)
+        if kind <= 2:
+            yield inst, serialize_general_schedule(general)
+            continue
+        ids = [job.id for job in inst.jobs]
+        rng.shuffle(ids)
+        sequences = [[] for _ in range(inst.m)]
+        for job_id in ids[: rng.randint(0, len(ids))]:
+            sequences[rng.randrange(inst.m)].append(job_id)
+        if rng.random() < 0.2:
+            seq = rng.choice(sequences)
+            seq.insert(rng.randint(0, len(seq)), rng.choice(["zz", "yy"]))
+        yield inst, serialize_sync_schedule(SyncSchedule(sequences))
+
+
+def test_check_matches_the_replaced_route(workdir, capsys):
+    _, write = workdir
+    rng = random.Random(14)
+    seen = Counter()
+    for inst, text in check_cases(rng, 400):
+        wanted = rng.sample(CHECK_PROPERTIES, rng.randint(1, 4))
+        argv = ["check", write("i.json", serialize_instance(inst)), write("s.json", text)]
+        argv += ["--properties", ",".join(wanted)] if len(wanted) < 4 else []
+        expected = replaced_check(inst, text, wanted)
+        assert run(capsys, *argv) == expected, text
+        seen[expected[0], '"pass": false' in expected[1]] += 1
+    # every outcome is reached: a parse error, an invalid schedule, passes and failures
+    assert min(seen[2, False], seen[5, False], seen[0, False], seen[0, True]) >= 20, seen
+
+
+def _counting(monkeypatch, owner, name, calls):
+    """Wrap ``owner.name`` so that each call appends its first argument to ``calls``."""
+    original = getattr(owner, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counted)
+
+
+@pytest.mark.parametrize("form", ["synchronized", "general"])
+def test_check_reads_each_document_once(workdir, capsys, monkeypatch, form):
+    _, write = workdir
+    inst = make_instance([(f"j{i}", i + 1, 1) for i in range(200)], 4)
+    schedule = SyncSchedule([[f"j{i}" for i in range(proc, 200, 4)] for proc in range(4)])
+    text = serialize_sync_schedule(schedule)
+    if form == "general":
+        text = serialize_general_schedule(from_synchronized(schedule, inst))
+    inst_path, sched_path = write("i.json", serialize_instance(inst)), write("s.json", text)
+    decoded, grids, lookups = [], [], []
+    _counting(monkeypatch, json, "loads", decoded)
+    _counting(monkeypatch, transforms._Grid, "__init__", grids)
+    _counting(monkeypatch, Instance, "job", lookups)
+    code, out, _ = run(capsys, "check", inst_path, sched_path)
+    assert sorted(decoded) == sorted([serialize_instance(inst), text])
+    assert len(grids) == (form == "general")
+    # one lookup per job; validating a general schedule looks each job up once more
+    assert len(lookups) == (200 if form == "synchronized" else 400)
+    assert code == 0 and json.loads(out)["properties"]["synchronized"]["pass"]
+
+
+def test_check_is_linear_in_jobs_plus_processors(workdir):
+    # a job per processor on the first 4,000 of 400,000: reading each
+    # processor's order by a walk over every job would be 1.6e9 steps
+    _, write = workdir
+    n, m = 4_000, 400_000
+    jobs = [{"id": f"j{i}", "p": "2", "w": "1"} for i in range(n)]
+    placements = [
+        {"id": f"j{i}", "shared_processor": i + 1, "shared_intervals": [["0", "1"]], "private_completion": "1"}
+        for i in range(n)
+    ]
+    inst = write("i.json", json.dumps({"m": m, "jobs": jobs}))
+    general = write("g.json", json.dumps({"jobs": placements}))
+    done = _run_capped("check", inst, general)
+    assert (done.returncode, done.stderr) == (0, "")
+    properties = json.loads(done.stdout)["properties"]
+    assert all(result == {"failures": [], "pass": True} for result in properties.values())
+    assert sorted(properties) == sorted(CHECK_PROPERTIES)
+
+
 def test_gen_n3dm_stdout(workdir, capsys):
     _, write = workdir
     src = write("n.json", '{"X":[1],"Y":[2],"Z":[3],"b":6}')
@@ -738,6 +907,29 @@ def test_unreadable_json_exits_2(workdir, capsys, command, text):
         assert code == 2
         assert out == ""
         assert err.startswith("error: malformed JSON") and err.count("\n") == 1
+
+
+LONG_STRING = LONG_INTEGER.replace("9" * 5000, '"' + "9" * 5000 + '"')
+
+
+@pytest.mark.parametrize(
+    "text,what", [(LONG_STRING, "jobs[0].p"), (LONG_INTEGER, "malformed JSON")], ids=["string", "integer"]
+)
+@pytest.mark.parametrize("command", ["solve", "eval", "check", "transform"])
+def test_number_past_the_digit_limit_exits_2_with_one_message(workdir, capsys, command, text, what):
+    # one text on every supported Python: CPython's own differs between
+    # 3.10 and 3.11+ and tells the reader to call sys.set_int_max_str_digits()
+    _, write = workdir
+    argv = [command, write("i.json", text)]
+    if command != "solve":
+        argv.append(write("s.json", GENERAL_AB if command == "transform" else SYNC_AB))
+    message = f"error: {what}: a number has more than 4300 digits\n"
+    assert run(capsys, *argv) == (2, "", message)
+    if command == "transform":  # in the schedule instead
+        general = GENERAL_AB.replace('"9/2"', '"' + "9" * 5000 + '"', 1)
+        argv[1:] = [write("i.json", TWO_JOBS), write("g.json", general)]
+        message = "error: job 'b' interval end: a number has more than 4300 digits\n"
+        assert run(capsys, *argv) == (2, "", message)
 
 
 def _loaded_modules(tmp_path, *argv) -> set[str]:
