@@ -29,7 +29,7 @@ import sys
 from pathlib import Path
 
 from . import engine
-from .dyadic import Dyadic
+from .dyadic import Dyadic, _quoted
 from .model import Instance, InstanceError, Job, _instance_data, _load_json, parse_instance
 
 EXIT_OK = 0
@@ -131,8 +131,7 @@ def _cmd_brute(args) -> int:
 
 def _cmd_eval(args) -> int:
     inst = _load_instance(args.instance)
-    schedule = _sync_schedule(_read(args.schedule), inst)
-    report = engine.evaluate(schedule, inst)
+    report = _sync_report(args.schedule, inst)
     print(_text(report, engine._report_json))
     return EXIT_OK
 
@@ -160,11 +159,11 @@ def _jobs(sequences, inst: Instance) -> list[list[Job]]:
     return [[inst.job(job_id) for job_id in seq] for seq in sequences]
 
 
-def _sync_schedule(text: bytes, inst: Instance) -> engine.SyncSchedule:
-    """Parse a synchronized schedule whose job ids all name jobs of ``inst``."""
-    schedule = engine.parse_sync_schedule(text, inst.m)
-    _jobs(schedule.sequences, inst)
-    return schedule
+def _sync_report(path: str, inst: Instance) -> engine.EvalReport:
+    """The report of the synchronized schedule in file ``path``; every job id
+    is looked up once, and an unknown one is reported before any infeasibility."""
+    schedule = engine.parse_sync_schedule(_read(path), inst.m)
+    return engine._evaluate(_jobs(schedule.sequences, inst), inst)
 
 
 def _structure(data, inst: Instance) -> tuple[list[list[Job]], dict[str, list[str]]]:
@@ -193,7 +192,7 @@ def _cmd_check(args) -> int:
     for name in wanted:
         if name not in _PROPERTIES:
             raise InstanceError(
-                f"unknown property {name!r}; choose from {', '.join(_PROPERTIES)}"
+                f"unknown property {_quoted(name)}; choose from {', '.join(_PROPERTIES)}"
             )
     jobs, failures = _structure(_load_json(_read(args.schedule)), inst)
     if "v-shape" in wanted:
@@ -254,8 +253,7 @@ def _cmd_gantt(args) -> int:
     if width > _MAX_WIDTH:
         raise OutputTooLargeError(f"--width {width} exceeds the limit of {_MAX_WIDTH} columns")
     inst = _load_instance(args.instance)
-    schedule = _sync_schedule(_read(args.schedule), inst)
-    report = engine.evaluate(schedule, inst)
+    report = _sync_report(args.schedule, inst)
     private_end = {job.id: job.p for job in inst.jobs}
     for proc in report.processors:
         # synchronized: a shared job's private span ends with its shared one
@@ -288,7 +286,7 @@ def _positive_int(text: str) -> int:
     try:
         value = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        raise argparse.ArgumentTypeError(f"invalid int value: {_quoted(text)}") from None
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
     return value

@@ -46,6 +46,9 @@ _MAX_EXPONENT = 8192
 # hash(int) and hash(Fraction) reduce modulo the Mersenne prime 2**_HASH_BITS - 1
 _HASH_BITS = sys.hash_info.modulus.bit_length()
 
+# The most characters of an input value's repr that an error text quotes.
+_QUOTED = 60
+
 
 class Dyadic:
     """A dyadic rational ``mantissa / 2**exponent`` in canonical form."""
@@ -85,18 +88,18 @@ class Dyadic:
                 raise _too_long() from None
         match = _LITERAL_RE.fullmatch(text)
         if not match:
-            raise ValueError(f"not a dyadic literal: {text!r}")
+            raise ValueError(f"not a dyadic literal: {_quoted(text)}")
         num, exp, den = match.groups()
         try:
             mantissa, exponent, den = int(num), int(exp or 0), int(den or 1)
         except ValueError:
             raise _too_long() from None
         if den <= 0 or den & (den - 1):
-            raise ValueError(f"denominator is not a power of two: {text!r}")
+            raise ValueError(f"denominator is not a power of two: {_quoted(text)}")
         exponent += den.bit_length() - 1  # one of exp and den is absent
         if exponent > _MAX_EXPONENT:
             raise OverflowError(
-                f"exponent {exponent} exceeds the limit of {_MAX_EXPONENT}: {text!r}"
+                f"exponent {exponent} exceeds the limit of {_MAX_EXPONENT}: {_quoted(text)}"
             )
         return _store(_new(cls), mantissa, exponent)
 
@@ -277,6 +280,16 @@ def _text(num: int, e: int, dens: dict[int, str] | None = None) -> str:
     if den is None:
         den = dens[e] = str(1 << e)
     return f"{num}/{den}"
+
+
+def _quoted(value) -> str:
+    """``repr(value)`` for an error text that quotes an input value; past
+    ``_QUOTED`` characters, the first ``_QUOTED`` and the length of the
+    whole, so that a message stays short however long the value is."""
+    text = repr(value)
+    if len(text) <= _QUOTED:
+        return text
+    return f"{text[:_QUOTED]}... ({len(text)} characters)"
 
 
 def _too_long() -> ValueError:

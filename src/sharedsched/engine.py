@@ -26,7 +26,7 @@ import json
 from functools import cached_property
 from typing import Iterable, Sequence
 
-from .dyadic import ZERO, Dyadic, _clear_denominators, _make, _text, as_dyadic
+from .dyadic import ZERO, Dyadic, _clear_denominators, _make, _quoted, _text, as_dyadic
 from .model import Instance, InstanceError, Job, _load_json, _Record, _trusted
 
 __all__ = [
@@ -62,7 +62,7 @@ class InfeasibleScheduleError(ValueError):
         self.processor = processor
         where = f"position {position}"
         if job_id is not None:
-            where += f" (job {job_id!r})"
+            where += f" (job {_quoted(job_id)})"
         if processor is not None:
             where = f"processor {processor}, " + where
         super().__init__(f"infeasible schedule: {where}: job no longer than its start time")
@@ -79,7 +79,9 @@ class SyncSchedule(_Record):
         for seq in sequences:
             for job_id in seq:
                 if job_id in seen:
-                    raise InstanceError(f"job {job_id!r} appears more than once in schedule")
+                    raise InstanceError(
+                        f"job {_quoted(job_id)} appears more than once in schedule"
+                    )
                 seen.add(job_id)
         self.__dict__["sequences"] = sequences
 
@@ -253,15 +255,21 @@ def evaluate(schedule: SyncSchedule, inst: Instance) -> EvalReport:
     """
     if schedule.m != inst.m:
         raise InstanceError(f"schedule has {schedule.m} processors, instance has {inst.m}")
+    # a generator, so that lookups and walks alternate and errors come in processor order
+    return _evaluate(([inst.job(job_id) for job_id in seq] for seq in schedule.sequences), inst)
+
+
+def _evaluate(orders: Iterable[list[Job]], inst: Instance) -> EvalReport:
+    """The report of ``inst``'s jobs run in ``orders``, one list per processor."""
     total = ZERO
     processors = []
-    for proc_idx, seq in enumerate(schedule.sequences, start=1):
-        jobs = [inst.job(job_id) for job_id in seq]
+    for proc_idx, jobs in enumerate(orders, start=1):
         times, s, bad, num, e = _walk([job.p for job in jobs], [job.w for job in jobs])
         if bad is not None:
-            raise InfeasibleScheduleError(bad, seq[bad - 1], proc_idx)
+            raise InfeasibleScheduleError(bad, jobs[bad - 1].id, proc_idx)
         total = total + _make(num, e)
-        state = {"id": proc_idx, "order": tuple(seq), "_times": times, "_scale": s}
+        order = tuple([job.id for job in jobs])
+        state = {"id": proc_idx, "order": order, "_times": times, "_scale": s}
         processors.append(_trusted(ProcessorEval, state))
     state = {"processors": tuple(processors), "total": total, "_jobs": inst.jobs}
     return _trusted(EvalReport, state)
@@ -433,7 +441,7 @@ def _read_sync_schedule(data, m: int) -> SyncSchedule:
             raise InstanceError('each processor needs keys "id" and "order"')
         pid = entry["id"]
         if isinstance(pid, bool) or not isinstance(pid, int) or not 1 <= pid <= m:
-            raise InstanceError(f"processor id {pid!r} out of range 1..{m}")
+            raise InstanceError(f"processor id {_quoted(pid)} out of range 1..{m}")
         if pid in seen:
             raise InstanceError(f"duplicate processor id {pid}")
         seen.add(pid)

@@ -32,7 +32,7 @@ import json
 from itertools import permutations
 from typing import Mapping, Sequence
 
-from .dyadic import Dyadic, ZERO
+from .dyadic import ZERO, Dyadic, _quoted
 from .engine import SyncSchedule, evaluate
 from .model import Instance, InstanceError, Job, _load_json, _Record
 from .solvers import InstanceTooLargeError
@@ -57,9 +57,9 @@ def _int_entries(values, what: str) -> tuple[int, ...]:
     out = []
     for v in values:
         if isinstance(v, bool) or not isinstance(v, int):
-            raise InstanceError(f"{what} entries must be integers, got {v!r}")
+            raise InstanceError(f"{what} entries must be integers, got {_quoted(v)}")
         if v < 0:
-            raise InstanceError(f"{what} entries must be >= 0, got {v}")
+            raise InstanceError(f"{what} entries must be >= 0, got {_quoted(v)}")
         out.append(v)
     return tuple(out)
 
@@ -72,7 +72,7 @@ class N3DMInput(_Record):
     def __init__(self, x: tuple[int, ...], y: tuple[int, ...], z: tuple[int, ...], b: int):
         x, y, z = _int_entries(x, "X"), _int_entries(y, "Y"), _int_entries(z, "Z")
         if isinstance(b, bool) or not isinstance(b, int):
-            raise InstanceError(f"b must be an integer, got {b!r}")
+            raise InstanceError(f"b must be an integer, got {_quoted(b)}")
         if not x or len(x) != len(y) or len(x) != len(z):
             raise InstanceError("X, Y, Z must have equal size n >= 1")
         self.__dict__.update(x=x, y=y, z=z, b=b)
@@ -168,13 +168,16 @@ def _check_matching(matching, n: int) -> list[tuple[int, int, int]]:
 def equitable_schedule(hi: HardInstance, matching: Sequence[Sequence[int]]) -> SyncSchedule:
     """Schedule processor l with the (A, B, C) triple given by 0-based
     indices ``matching[l]``; always feasible for generated instances."""
-    triples = _check_matching(matching, hi.source.n)
-    return SyncSchedule(
-        tuple(
-            (f"A{ai + 1}", f"B{bi + 1}", f"C{ci + 1}")
-            for ai, bi, ci in triples
-        )
-    )
+    return _triple_schedule(_check_matching(matching, hi.source.n))
+
+
+def _triple_schedule(triples: list[tuple[int, int, int]]) -> SyncSchedule:
+    return SyncSchedule(tuple((f"A{a + 1}", f"B{b + 1}", f"C{c + 1}") for a, b, c in triples))
+
+
+def _delta(src: N3DMInput, ai: int, bi: int, ci: int) -> int:
+    """The target b minus the triple's entries: X at ``ai``, Y at ``bi``, Z at ``ci``."""
+    return src.b - (src.x[ai] + src.y[bi] + src.z[ci])
 
 
 def is_equitable(schedule: SyncSchedule, hi: HardInstance) -> bool:
@@ -195,9 +198,7 @@ def processor_delta(schedule: SyncSchedule, hi: HardInstance, processor: int) ->
     if not is_equitable(schedule, hi):
         raise ValueError("schedule is not equitable")
     seq = schedule.sequences[processor - 1]
-    src = hi.source
-    indices = [hi.provenance[job_id][1] - 1 for job_id in seq]
-    return src.b - (src.x[indices[0]] + src.y[indices[1]] + src.z[indices[2]])
+    return _delta(hi.source, *[hi.provenance[job_id][1] - 1 for job_id in seq])
 
 
 def decide(inp: N3DMInput, max_n: int = 4) -> tuple[bool, list[tuple[int, int, int]] | None]:
@@ -229,11 +230,8 @@ def equitable_diagnostic(hi: HardInstance, matching: Sequence[Sequence[int]]) ->
     processors, which agrees with direct evaluation.
     """
     triples = _check_matching(matching, hi.source.n)
-    schedule = equitable_schedule(hi, matching)
-    report = evaluate(schedule, hi.instance)
-    deltas = [
-        processor_delta(schedule, hi, proc) for proc in range(1, hi.source.n + 1)
-    ]
+    report = evaluate(_triple_schedule(triples), hi.instance)
+    deltas = [_delta(hi.source, *triple) for triple in triples]
     derived = ZERO
     for ai, bi, ci in triples:
         a = hi.halved_times(ai)[0]

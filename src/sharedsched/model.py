@@ -21,7 +21,7 @@ from __future__ import annotations
 import json
 from operator import attrgetter
 
-from .dyadic import Dyadic, _too_long, as_dyadic
+from .dyadic import Dyadic, _quoted, _too_long, as_dyadic
 
 __all__ = [
     "Job",
@@ -58,7 +58,8 @@ def _load_json(text: bytes | str):
 def _literal(raw, parsed: dict[str, Dyadic], label: str, *args) -> Dyadic:
     """Convert a JSON scalar to a Dyadic, rejecting floats and bad literals.
 
-    The error names the entry, ``label.format(*args)``: ``OverflowError`` for
+    The error names the entry, ``label.format(*args)`` with each argument
+    quoted through :func:`~sharedsched.dyadic._quoted`: ``OverflowError`` for
     an exponent too large, else :class:`InstanceError`.  ``parsed`` is one
     document's memo of the string literals that parsed: a Dyadic is immutable,
     so one value serves every repeat, and an error names the first entry
@@ -71,11 +72,11 @@ def _literal(raw, parsed: dict[str, Dyadic], label: str, *args) -> Dyadic:
                 value = parsed[raw] = Dyadic.from_string(raw)
             return value
         if isinstance(raw, (bool, float)):
-            raise TypeError(f"expected a dyadic string, got {raw!r}")
+            raise TypeError(f"expected a dyadic string, got {_quoted(raw)}")
         return as_dyadic(raw)
     except (ValueError, TypeError, OverflowError) as exc:
         cls = OverflowError if isinstance(exc, OverflowError) else InstanceError
-        raise cls(f"{label.format(*args)}: {exc}") from exc
+        raise cls(f"{label.format(*map(_quoted, args))}: {exc}") from exc
 
 
 class _Record:
@@ -143,15 +144,15 @@ class Job(_Record):
 
     def __init__(self, id: str, p: Dyadic, w: Dyadic):
         if not isinstance(id, str) or not id:
-            raise InstanceError(f"job id must be a non-empty string, got {id!r}")
+            raise InstanceError(f"job id must be a non-empty string, got {_quoted(id)}")
         if not isinstance(p, Dyadic):
             p = as_dyadic(p)
         if not isinstance(w, Dyadic):
             w = as_dyadic(w)
         if p.mantissa <= 0:
-            raise InstanceError(f"job {id!r}: p <= 0")
+            raise InstanceError(f"job {_quoted(id)}: p <= 0")
         if w.mantissa <= 0:
-            raise InstanceError(f"job {id!r}: w <= 0")
+            raise InstanceError(f"job {_quoted(id)}: w <= 0")
         self.__dict__.update(id=id, p=p, w=w)
 
 
@@ -163,13 +164,13 @@ class Instance(_Record):
     def __init__(self, jobs: tuple[Job, ...], m: int):
         jobs = tuple(jobs)
         if isinstance(m, bool) or not isinstance(m, int):
-            raise InstanceError(f"m must be an int, got {m!r}")
+            raise InstanceError(f"m must be an int, got {_quoted(m)}")
         if m < 1:
             raise InstanceError("m < 1")
         by_id = {}
         for job in jobs:
             if job.id in by_id:
-                raise InstanceError(f"duplicate id {job.id!r}")
+                raise InstanceError(f"duplicate id {_quoted(job.id)}")
             by_id[job.id] = job
         self.__dict__.update(jobs=jobs, m=m, _by_id=by_id)
 
@@ -180,7 +181,7 @@ class Instance(_Record):
         try:
             return self._by_id[job_id]
         except KeyError:
-            raise InstanceError(f"unknown job id {job_id!r}") from None
+            raise InstanceError(f"unknown job id {_quoted(job_id)}") from None
 
     def has_job(self, job_id: str) -> bool:
         return job_id in self._by_id
@@ -214,7 +215,7 @@ def parse_instance(text: bytes | str) -> Instance:
         raise InstanceError("instance must be a JSON object")
     unknown = set(data) - {"m", "jobs"}
     if unknown:
-        raise InstanceError(f"unknown instance keys: {sorted(unknown)}")
+        raise InstanceError(f"unknown instance keys: {_quoted(sorted(unknown))}")
     if "m" not in data or "jobs" not in data:
         raise InstanceError('instance requires keys "m" and "jobs"')
     raw_jobs = data["jobs"]

@@ -92,17 +92,13 @@ def solve_equal_weights(inst: Instance) -> SyncSchedule:
     processor and every per-processor order is ascending."""
     if not inst.equal_weights():
         raise UnequalWeightsError("weights are not all equal; use brute_force instead")
-    jobs = inst.jobs
+    jobs, m = inst.jobs, inst.m
     keys, _ = _clear_denominators([job.p for job in jobs])
-    # stable two-pass sorts on the integer keys: ties broken by ascending id
+    # descending on the integer keys; the sort is stable, so ties keep ascending id
     by_id = sorted(range(len(jobs)), key=lambda i: jobs[i].id)
-    rank = [0] * len(jobs)
-    for idx, i in enumerate(sorted(by_id, key=keys.__getitem__, reverse=True)):
-        rank[i] = idx  # deal in descending order: job i goes to processor rank % m
-    buckets: list[list[str]] = [[] for _ in range(inst.m)]
-    for i in sorted(by_id, key=keys.__getitem__):
-        buckets[rank[i] % inst.m].append(jobs[i].id)
-    return SyncSchedule(tuple(tuple(bucket) for bucket in buckets))
+    dealt = sorted(by_id, key=keys.__getitem__, reverse=True)
+    shares = [sorted(dealt[q::m], key=keys.__getitem__) for q in range(m)]
+    return SyncSchedule([[jobs[i].id for i in share] for share in shares])
 
 
 def equal_weights_value(partition: Sequence[Sequence]) -> Dyadic:

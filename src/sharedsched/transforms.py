@@ -39,7 +39,7 @@ import math
 from collections import Counter
 from typing import Mapping
 
-from .dyadic import Dyadic, _clear_denominators, _make, as_dyadic
+from .dyadic import Dyadic, _clear_denominators, _make, _quoted, as_dyadic
 from .engine import SyncSchedule, evaluate
 from .model import Instance, InstanceError, _job_id, _literal, _load_json, _Record, _trusted
 
@@ -247,8 +247,8 @@ def _violations(grid: _Grid, inst: Instance | None = None) -> list[str]:
     ids = set(grid.private)
     if inst is not None:
         inst_ids = {job.id for job in inst.jobs}
-        out += [f"job {missing!r}: no placement" for missing in sorted(inst_ids - ids)]
-        out += [f"job {extra!r}: not in instance" for extra in sorted(ids - inst_ids)]
+        out += [f"job {_quoted(missing)}: no placement" for missing in sorted(inst_ids - ids)]
+        out += [f"job {_quoted(extra)}: not in instance" for extra in sorted(ids - inst_ids)]
     intervals: dict[str, list] = {job_id: [] for job_id in ids}
     for chunks in grid.chunks.values():
         for a, b, job_id in chunks:
@@ -256,29 +256,29 @@ def _violations(grid: _Grid, inst: Instance | None = None) -> list[str]:
     for job_id in sorted(ids):
         proc, private = grid.procs[job_id], grid.private[job_id]
         if private < 0:
-            out.append(f"job {job_id!r}: private completion < 0")
+            out.append(f"job {_quoted(job_id)}: private completion < 0")
         if proc is None and intervals[job_id]:
-            out.append(f"job {job_id!r}: shared intervals without a processor")
+            out.append(f"job {_quoted(job_id)}: shared intervals without a processor")
         if proc is not None:
             if proc < 1:
-                out.append(f"job {job_id!r}: processor {proc} < 1")
+                out.append(f"job {_quoted(job_id)}: processor {_quoted(proc)} < 1")
             elif inst is not None and proc > inst.m:
-                out.append(f"job {job_id!r}: processor {proc} > m = {inst.m}")
+                out.append(f"job {_quoted(job_id)}: processor {_quoted(proc)} > m = {inst.m}")
         prev_end = None
         for a, b in intervals[job_id]:
             if a < 0:
-                out.append(f"job {job_id!r}: interval ({t(a)}, {t(b)}) starts before 0")
+                out.append(f"job {_quoted(job_id)}: interval ({t(a)}, {t(b)}) starts before 0")
             if not a < b:
-                out.append(f"job {job_id!r}: empty or reversed interval ({t(a)}, {t(b)})")
+                out.append(f"job {_quoted(job_id)}: empty or reversed interval ({t(a)}, {t(b)})")
             if prev_end is not None and a < prev_end:
-                out.append(f"job {job_id!r}: overlapping own intervals at {t(a)}")
+                out.append(f"job {_quoted(job_id)}: overlapping own intervals at {t(a)}")
             prev_end = b
         if inst is not None and inst.has_job(job_id):
             total = private + sum(b - a for a, b in intervals[job_id])
             expected = inst.job(job_id).p
             if total << expected.exponent != expected.mantissa << grid.scale:
                 out.append(
-                    f"job {job_id!r}: length mismatch "
+                    f"job {_quoted(job_id)}: length mismatch "
                     f"(intervals sum to {_shown(t(total))}, p = {expected})"
                 )
     for proc in sorted(p for p in grid.chunks if p is not None):
@@ -286,7 +286,7 @@ def _violations(grid: _Grid, inst: Instance | None = None) -> list[str]:
         for (a1, b1, j1), (a2, b2, j2) in zip(chunks, chunks[1:]):
             if a2 < b1:
                 out.append(
-                    f"processor {proc}: jobs {j1!r} and {j2!r} overlap in "
+                    f"processor {proc}: jobs {_quoted(j1)} and {_quoted(j2)} overlap in "
                     f"({t(a2)}, {t(min(b1, b2))})"
                 )
     return out
@@ -545,7 +545,7 @@ def _move_args(grid: _Grid, name: str, proc: int, i: int, eps: Dyadic) -> tuple[
     for (_, end, _), (start, _, job_id) in zip(chunks[i - 2 :], chunks[i - 1 :]):
         if start != end:
             raise PreconditionError(
-                f"processor {proc}: idle time before job {job_id!r}; "
+                f"processor {proc}: idle time before job {_quoted(job_id)}; "
                 "the move's exact value accounting needs a contiguous span"
             )
     grid.shift(eps.exponent - grid.scale)
@@ -571,12 +571,14 @@ def pull(g: GeneralSchedule, processor: int, i: int, eps) -> GeneralSchedule:
     chunks, e = _move_args(grid, "pull", processor, i, eps)
     for _, b, job_id in chunks[i - 1 :]:
         if b != grid.private[job_id]:
-            raise PreconditionError(f"job {job_id!r} at or after position {i} is not synchronized")
+            raise PreconditionError(
+                f"job {_quoted(job_id)} at or after position {i} is not synchronized"
+            )
     a, b, prev_id = chunks[i - 2]
     if not 0 < e <= b - a:
         raise PreconditionError(
             f"eps = {eps} outside (0, {Dyadic(b - a, grid.scale)}], "
-            f"the shared length of {prev_id!r}"
+            f"the shared length of {_quoted(prev_id)}"
         )
     _ripple(grid, chunks, i - 1, e, -1)
     return grid.schedule()
@@ -603,12 +605,12 @@ def push(g: GeneralSchedule, processor: int, i: int, eps) -> GeneralSchedule:
     if not 0 < 2 * e <= slack:
         raise PreconditionError(
             f"eps = {eps} outside (0, {Dyadic(slack, grid.scale + 1)}], "
-            f"half the slack of {prev_id!r}"
+            f"half the slack of {_quoted(prev_id)}"
         )
     for offset, (a, b, job_id) in enumerate(chunks[i - 1 :], start=1):
         if e > (b - a) << offset:
             raise PreconditionError(
-                f"eps = {eps} exceeds 2^{offset} times the shared length of {job_id!r}"
+                f"eps = {eps} exceeds 2^{offset} times the shared length of {_quoted(job_id)}"
             )
     _ripple(grid, chunks, i - 1, e, 1)
     return grid.schedule()
@@ -746,23 +748,25 @@ def _read_general_schedule(data) -> GeneralSchedule:
     for idx, entry in enumerate(data["jobs"]):
         job_id = _job_id(entry, idx, "shared_processor", "shared_intervals", "private_completion")
         if job_id in placements:
-            raise InstanceError(f"duplicate job id {job_id!r} in schedule")
+            raise InstanceError(f"duplicate job id {_quoted(job_id)} in schedule")
         proc = entry["shared_processor"]
         if proc is not None and (isinstance(proc, bool) or not isinstance(proc, int)):
-            raise InstanceError(f"job {job_id!r}: shared_processor must be an int or null")
+            raise InstanceError(f"job {_quoted(job_id)}: shared_processor must be an int or null")
         raw_intervals = entry["shared_intervals"]
         if not isinstance(raw_intervals, list):
-            raise InstanceError(f"job {job_id!r}: shared_intervals must be a list")
+            raise InstanceError(f"job {_quoted(job_id)}: shared_intervals must be a list")
         intervals = []
         for pair in raw_intervals:
             if not isinstance(pair, list) or len(pair) != 2:
-                raise InstanceError(f"job {job_id!r}: each interval must be a [start, end] pair")
-            start = _literal(pair[0], parsed, "job {!r} interval start", job_id)
-            intervals.append((start, _literal(pair[1], parsed, "job {!r} interval end", job_id)))
+                raise InstanceError(
+                    f"job {_quoted(job_id)}: each interval must be a [start, end] pair"
+                )
+            start = _literal(pair[0], parsed, "job {} interval start", job_id)
+            intervals.append((start, _literal(pair[1], parsed, "job {} interval end", job_id)))
         placements[job_id] = JobPlacement(
             proc,
             tuple(intervals),
-            _literal(entry["private_completion"], parsed, "job {!r} private completion", job_id),
+            _literal(entry["private_completion"], parsed, "job {} private completion", job_id),
         )
     return GeneralSchedule(placements)
 

@@ -44,6 +44,7 @@ from sharedsched.transforms import (
     is_synchronized,
     pull,
     push,
+    synchronize,
     synchronize_detailed,
     validate,
     value_general,
@@ -189,7 +190,14 @@ def test_synchronize_contract():
         assert report.rebalance_steps <= 2 * len(inst)
         assert is_synchronized(report.general) and is_gap_free(report.general)
         assert evaluate(report.schedule, inst).total == report.value_after
-    passed("synchronize: value never decreases, <= 2n rebalance steps (200 schedules)")
+        # no general schedule beats the best synchronized one, which synchronize keeps
+        best, optimum = brute_force(inst)
+        assert report.value_after <= optimum
+        assert evaluate(synchronize(from_synchronized(best, inst), inst), inst).total == optimum
+    passed(
+        "synchronize: value never decreases, <= 2n rebalance steps, never above the "
+        "exhaustive optimum, which it keeps (200 schedules)"
+    )
 
 
 # -- criterion: V-shaped optima ------------------------------------------------------

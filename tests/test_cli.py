@@ -565,6 +565,20 @@ def test_check_reads_each_document_once(workdir, capsys, monkeypatch, form):
     assert code == 0 and json.loads(out)["properties"]["synchronized"]["pass"]
 
 
+@pytest.mark.parametrize("command", ["eval", "gantt"])
+def test_eval_and_gantt_look_each_job_up_once(workdir, capsys, monkeypatch, command):
+    _, write = workdir
+    inst = make_instance([(f"j{i}", i + 1, 1) for i in range(200)], 4)
+    schedule = SyncSchedule([[f"j{i}" for i in range(proc, 200, 4)] for proc in range(4)])
+    inst_path = write("i.json", serialize_instance(inst))
+    sched_path = write("s.json", serialize_sync_schedule(schedule))
+    lookups = []
+    _counting(monkeypatch, Instance, "job", lookups)
+    code, _, err = run(capsys, command, inst_path, sched_path)
+    assert (code, err) == (0, "")
+    assert len(lookups) == 200
+
+
 def test_check_is_linear_in_jobs_plus_processors(workdir):
     # a job per processor on the first 4,000 of 400,000: reading each
     # processor's order by a walk over every job would be 1.6e9 steps
@@ -834,11 +848,20 @@ def test_gantt_width_past_bound_exits_4_fast(workdir):
         assert done.stderr == f"error: --width {width} exceeds the limit of 10000 columns\n"
 
 
+# 2471 characters as a repr: an error text quotes its first 60 and its length
+LONG_DENOMINATOR = "3/%d" % (1 << 8193)
+
+
 @pytest.mark.parametrize(
     "literal,code,message",
     [
         ("3/2^8193", 4, "exponent 8193 exceeds the limit of 8192: '3/2^8193'"),
-        ("3/%d" % (1 << 8193), 4, "exponent 8193 exceeds the limit of 8192: '3/%d'" % (1 << 8193)),
+        (
+            LONG_DENOMINATOR,
+            4,
+            "exponent 8193 exceeds the limit of 8192: '3/%s... (2471 characters)"
+            % str(1 << 8193)[:57],
+        ),
         ("4\n", 2, "not a dyadic literal: '4\\n'"),
         ("\u0663/2", 2, "not a dyadic literal: '\u0663/2'"),
     ],
@@ -865,11 +888,51 @@ def test_literal_bound_and_grammar_exit_codes(workdir, capsys, command, literal,
 def test_unknown_ids_reported_in_processor_order(workdir, capsys):
     _, write = workdir
     inst = write("i.json", FIVE_JOBS)
-    sched = write("s.json", '{"processors":[{"id":1,"order":["a","zz","yy"]},{"id":2,"order":["xx"]}]}')
-    for command in ("eval", "gantt", "check"):
-        code, _, err = run(capsys, command, inst, sched)
-        assert code == 2
-        assert "unknown job id 'zz'" in err
+    assert check_feasible(parse_instance(FIVE_JOBS).job(j) for j in "abcd") == 4
+    for orders in (
+        [["a", "zz", "yy"], ["xx"]],
+        [["a", "b", "c", "d"], ["zz"]],  # processor 1 is infeasible, and still "zz" is reported
+    ):
+        processors = [{"id": proc, "order": order} for proc, order in enumerate(orders, start=1)]
+        sched = write("s.json", json.dumps({"processors": processors}))
+        for command in ("eval", "gantt", "check"):
+            code, _, err = run(capsys, command, inst, sched)
+            assert code == 2
+            assert "unknown job id 'zz'" in err
+
+
+# an input value a million characters long, quoted by each kind of error text
+HUGE = "x" * 1_000_000
+
+
+def _huge_case(case: str, write) -> tuple[list[str], int]:
+    """The argv of a command whose error quotes ``HUGE``, and its exit code."""
+    jobs = [{"id": "a", "p": "4", "w": "1"}, {"id": "b", "p": "8", "w": "1"}]
+    m = 1
+    if case == "literal":
+        jobs[0]["p"] = HUGE
+    elif case == "duplicate-id":
+        jobs = [{"id": HUGE, "p": "4", "w": "1"}] * 2
+    elif case == "string-m":
+        m = HUGE
+    inst = write("i.json", json.dumps({"m": m, "jobs": jobs}))
+    if case == "unknown-id":
+        return ["eval", inst, write("s.json", json.dumps({"processors": [{"id": 1, "order": [HUGE]}]}))], 2
+    if case == "general-id":
+        general = json.loads(GENERAL_AB)
+        general["jobs"][1]["id"] = HUGE
+        return ["transform", inst, write("g.json", json.dumps(general))], 5
+    return ["solve", inst], 2
+
+
+@pytest.mark.parametrize("case", ["literal", "duplicate-id", "unknown-id", "string-m", "general-id"])
+def test_error_texts_bound_the_input_they_quote(workdir, capsys, case):
+    _, write = workdir
+    argv, expected = _huge_case(case, write)
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (expected, "")
+    assert err.startswith("error: ") and len(err.encode()) < 1024, err[:200]
+    assert f"xxxx... ({len(repr(HUGE))} characters)" in err
 
 
 # JSON that json.loads refuses with a plain ValueError (an integer literal

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from sharedsched.dyadic import ONE, ZERO, Dyadic, as_dyadic
+from sharedsched.dyadic import ONE, ZERO, Dyadic, _quoted, as_dyadic
 
 from conftest import literal_corpus
 
@@ -213,3 +213,16 @@ def test_hash_matches_fraction_and_int():
                 if value.is_integer:
                     assert hash(value) == hash(value.mantissa)
     assert hash(Dyadic(-1)) == hash(-1) == -2
+
+
+def test_quoted_input_is_bounded():
+    # up to 60 characters a value reads as its repr; past that, a prefix and the length
+    for value in ("", "a b", "x" * 58, 7, -(10**50), ["X", 1], None):
+        assert _quoted(value) == repr(value)
+    assert _quoted("x" * 59) == "'" + "x" * 59 + "... (61 characters)"
+    assert _quoted("é" * 10**6) == "'" + "é" * 59 + "... (1000002 characters)"
+    assert _quoted(10**99) == "1" + "0" * 59 + "... (100 characters)"
+    assert _quoted(list(range(10**5))) == repr(list(range(30)))[:60] + "... (688890 characters)"
+    with pytest.raises(ValueError) as exc:
+        Dyadic.from_string("1/3" + "x" * 100_000)
+    assert str(exc.value) == "not a dyadic literal: '1/3" + "x" * 56 + "... (100005 characters)"

@@ -109,6 +109,21 @@ def dyadic_solve_equal_weights(inst):
     )
 
 
+def three_sort_solve_equal_weights(inst):
+    # the deal that one descending sort replaced: rank each job in descending
+    # order, then fill the processors from a third, ascending sort
+    jobs = inst.jobs
+    keys, _ = _clear_denominators([job.p for job in jobs])
+    by_id = sorted(range(len(jobs)), key=lambda i: jobs[i].id)
+    rank = [0] * len(jobs)
+    for idx, i in enumerate(sorted(by_id, key=keys.__getitem__, reverse=True)):
+        rank[i] = idx
+    buckets = [[] for _ in range(inst.m)]
+    for i in sorted(by_id, key=keys.__getitem__):
+        buckets[rank[i] % inst.m].append(jobs[i].id)
+    return SyncSchedule(tuple(tuple(bucket) for bucket in buckets))
+
+
 def dyadic_unit_value(partition):
     total = ZERO
     for group in partition:
@@ -496,13 +511,13 @@ def test_clear_denominators():
 # -- equal-weight solver ---------------------------------------------------------
 
 
-def tie_heavy_instance(rng: random.Random) -> Instance:
+def tie_heavy_instance(rng: random.Random, max_m: int = 6) -> Instance:
     n = rng.randint(0, 40)
     pool = [mixed_dyadic(rng, max_exp=4) for _ in range(rng.randint(1, 4))]
     ids = [f"j{i}" for i in range(n)]
     rng.shuffle(ids)  # ids out of instance order, and "j10" < "j9" as strings
     w = mixed_dyadic(rng)
-    return Instance(tuple(Job(job_id, rng.choice(pool), w) for job_id in ids), rng.randint(1, 6))
+    return Instance(tuple(Job(job_id, rng.choice(pool), w) for job_id in ids), rng.randint(1, max_m))
 
 
 def test_solve_equal_weights_matches_dyadic_sort():
@@ -519,6 +534,13 @@ def test_solve_equal_weights_matches_dyadic_sort():
             Fraction(0),
         )
         assert frac(report.total) == w * makespans
+
+
+def test_solve_equal_weights_matches_three_sort_deal():
+    rng = random.Random(15)
+    for _ in range(2_500):
+        inst = tie_heavy_instance(rng, max_m=9)
+        assert solve_equal_weights(inst) == three_sort_solve_equal_weights(inst)
 
 
 def test_solve_equal_weights_ties_by_ascending_id():
