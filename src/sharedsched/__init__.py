@@ -45,7 +45,6 @@ _EXPORTS = {
     "SearchLimits": "solvers",
     "brute_force": "solvers",
     "solve_equal_weights": "solvers",
-    "improve_by_exchanges": "solvers",
     "search_backend": "solvers",
 }
 

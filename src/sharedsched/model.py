@@ -156,6 +156,14 @@ class Job(_Record):
         self.__dict__.update(id=id, p=p, w=w)
 
 
+def _check_m(m) -> None:
+    """Refuse a processor count that is not an int of at least 1."""
+    if isinstance(m, bool) or not isinstance(m, int):
+        raise InstanceError(f"m must be an int, got {_quoted(m)}")
+    if m < 1:
+        raise InstanceError("m < 1")
+
+
 class Instance(_Record):
     """A job set plus the number of shared processors."""
 
@@ -163,10 +171,7 @@ class Instance(_Record):
 
     def __init__(self, jobs: tuple[Job, ...], m: int):
         jobs = tuple(jobs)
-        if isinstance(m, bool) or not isinstance(m, int):
-            raise InstanceError(f"m must be an int, got {_quoted(m)}")
-        if m < 1:
-            raise InstanceError("m < 1")
+        _check_m(m)
         by_id = {}
         for job in jobs:
             if job.id in by_id:
@@ -221,6 +226,7 @@ def parse_instance(text: bytes | str) -> Instance:
     raw_jobs = data["jobs"]
     if not isinstance(raw_jobs, list):
         raise InstanceError('"jobs" must be a list')
+    _check_m(data["m"])  # before the jobs, which may take long to parse
     parsed: dict[str, Dyadic] = {}
     get = parsed.get
     jobs = []

@@ -1,5 +1,4 @@
-"""Schedule optimization: equal-weight exact solver, exhaustive oracle,
-and exchange-based local search.
+"""Schedule optimization: equal-weight exact solver and exhaustive oracle.
 
 The equal-weight solver runs in O(n log n): sort jobs by descending
 processing time, deal them round-robin across the m shared processors
@@ -7,7 +6,7 @@ processing time, deal them round-robin across the m shared processors
 1/2, 1/4, ..., and the first ``n - (ceil(n/m) - 1) * m`` processors get
 one extra job), then run each processor's jobs in ascending order.  With
 unit weights an order's value telescopes to its makespan.  The
-unit-weight values and the local search walk each order once, in ``engine._walk``.
+unit-weight values walk each order once, in ``engine._walk``.
 
 ``brute_force`` is the exact oracle: it finds the best assignment of
 each job to {private-only, processor 1..m} with the best feasible
@@ -23,7 +22,7 @@ import math
 from typing import Sequence
 
 from .dyadic import ZERO, Dyadic, _clear_denominators, _make
-from .engine import SyncSchedule, _ascending, _times, _walk, evaluate
+from .engine import SyncSchedule, _ascending, _times, _walk
 from .model import Instance, _Record
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "equal_weights_value",
     "single_processor_ascending",
     "brute_force",
-    "improve_by_exchanges",
     "search_backend",
 ]
 
@@ -167,30 +165,3 @@ def brute_force(
         tuple(tuple(inst.jobs[j].id for j in order) for order in orders)
     )
     return schedule, _make(best_num, n + p_exp + w_exp)
-
-
-def improve_by_exchanges(schedule: SyncSchedule, inst: Instance) -> SyncSchedule:
-    """Local search by adjacent transpositions.
-
-    Applies any adjacent swap that keeps the order feasible and strictly
-    increases the value, recomputing true values by full evaluation
-    rather than trusting the closed-form delta outside its inclusivity
-    hypothesis.  Terminates because each applied swap strictly increases
-    the total and there are finitely many orders.
-    """
-    evaluate(schedule, inst)  # rejects infeasible input with a located error
-    orders = [[inst.job(job_id) for job_id in seq] for seq in schedule.sequences]
-    improved = True
-    while improved:
-        improved = False
-        for jobs in orders:
-            # every order of one job set shares the scale 2**e of its value
-            value = _walk([job.p for job in jobs], [job.w for job in jobs])[3]
-            for pos in range(len(jobs) - 1):
-                swapped = jobs[:pos] + [jobs[pos + 1], jobs[pos]] + jobs[pos + 2 :]
-                _, _, bad, swapped_value, _ = _walk([j.p for j in swapped], [j.w for j in swapped])
-                if bad is None and swapped_value > value:
-                    jobs[:] = swapped
-                    value = swapped_value
-                    improved = True
-    return SyncSchedule(tuple(tuple(job.id for job in jobs) for jobs in orders))

@@ -70,12 +70,23 @@ __all__ = [
 ]
 
 
+# violations an InvalidScheduleError's message lists; the rest are only counted
+_SHOWN = 20
+
+
 class InvalidScheduleError(ValueError):
-    """A general schedule violating its structural invariants."""
+    """A general schedule violating its structural invariants.
+
+    ``violations`` holds every one; the message lists the first ``_SHOWN``
+    and the number of the rest, so that it stays short however many there are.
+    """
 
     def __init__(self, violations):
         self.violations = list(violations)
-        super().__init__("invalid schedule: " + "; ".join(self.violations))
+        shown = self.violations[:_SHOWN]
+        if len(self.violations) > _SHOWN:
+            shown.append(f"and {len(self.violations) - _SHOWN} more")
+        super().__init__("invalid schedule: " + "; ".join(shown))
 
 
 class PreconditionError(ValueError):
@@ -108,22 +119,6 @@ class GeneralSchedule(_Record):
 
     def __init__(self, placements: Mapping[str, JobPlacement]):
         self.__dict__["placements"] = dict(placements)
-
-    def processors(self) -> list[int]:
-        return sorted(
-            {p.processor for p in self.placements.values() if p.processor is not None}
-        )
-
-    def chunks_on(self, processor: int) -> list[tuple[Dyadic, Dyadic, str]]:
-        """All (start, end, job id) intervals on a processor, by start time."""
-        chunks = [
-            (a, b, job_id)
-            for job_id, placement in self.placements.items()
-            if placement.processor == processor
-            for a, b in placement.intervals
-        ]
-        chunks.sort(key=lambda c: (c[0], c[1], c[2]))
-        return chunks
 
 
 # -- the integer grid --------------------------------------------------------------

@@ -14,7 +14,6 @@ from fractions import Fraction
 
 import pytest
 
-from sharedsched import solvers
 from sharedsched.dyadic import Dyadic
 from sharedsched.model import Instance, Job
 
@@ -242,21 +241,15 @@ def random_general_schedule(rng: random.Random, max_jobs=6, max_m=3):
     return schedule, inst
 
 
-@pytest.fixture
-def bounded_search(monkeypatch):
-    """Fail, rather than hang, when the local search stops terminating:
-    an applied swap of equal value would be undone by the next sweep.
-    Counts the walks of the recurrence, one per candidate order."""
-    calls = 0
-    walk = solvers._walk
-
-    def counted(ps, ws=()):
-        nonlocal calls
-        calls += 1
-        assert calls < 200_000, "the local search does not terminate"
-        return walk(ps, ws)
-
-    monkeypatch.setattr(solvers, "_walk", counted)
+def shared_chunks(general, processor: int) -> list:
+    """The (start, end, job id) intervals on one shared processor of a
+    general schedule, by start time, read from its placements."""
+    return sorted(
+        (a, b, job_id)
+        for job_id, placement in general.placements.items()
+        if placement.processor == processor
+        for a, b in placement.intervals
+    )
 
 
 @pytest.fixture

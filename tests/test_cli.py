@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sharedsched
-from sharedsched import transforms
+from sharedsched import cli, transforms
 from sharedsched.cli import main
 from sharedsched.dyadic import Dyadic
 from sharedsched.engine import (
@@ -44,7 +44,7 @@ from sharedsched.transforms import (
     validate,
 )
 
-from conftest import make_instance, random_general_schedule
+from conftest import make_instance, random_general_schedule, shared_chunks
 
 CHECK_PROPERTIES = ["v-shape", "ordered", "synchronized", "inclusive"]
 
@@ -449,7 +449,7 @@ def test_check_unknown_property(workdir, capsys):
 def replaced_check(inst, text, wanted):
     """``check``'s (exit code, stdout, stderr) by the route it replaced:
     the public predicates on a re-parsed schedule, with the job orders of
-    a general schedule read through ``chunks_on``."""
+    a general schedule read from its placements."""
     data = json.loads(text)
     try:
         if isinstance(data, dict) and "processors" in data:
@@ -463,7 +463,7 @@ def replaced_check(inst, text, wanted):
             if violations:
                 return 5, "", f"error: invalid schedule: {'; '.join(violations)}\n"
             procs = range(1, inst.m + 1)
-            sequences = [[job_id for _, _, job_id in general.chunks_on(proc)] for proc in procs]
+            sequences = [[job_id for _, _, job_id in shared_chunks(general, proc)] for proc in procs]
     except InstanceError as exc:
         return 2, "", f"error: {exc}\n"
     results = {}
@@ -933,6 +933,25 @@ def test_error_texts_bound_the_input_they_quote(workdir, capsys, case):
     assert (code, out) == (expected, "")
     assert err.startswith("error: ") and len(err.encode()) < 1024, err[:200]
     assert f"xxxx... ({len(repr(HUGE))} characters)" in err
+
+
+@pytest.mark.parametrize("command", ["transform", "check"])
+def test_invalid_schedule_message_bounds_its_violations(workdir, capsys, monkeypatch, command):
+    # 100,000 jobs that are not in the instance, each one a violation
+    _, write = workdir
+    entry = {"shared_processor": None, "shared_intervals": [], "private_completion": "1"}
+    ids = [f"j{i}" for i in range(100_000)]
+    general = write("g.json", json.dumps({"jobs": [{"id": job_id, **entry} for job_id in ids]}))
+    raised = []
+    exit_code = cli._exit_code
+    monkeypatch.setattr(cli, "_exit_code", lambda exc: raised.append(exc) or exit_code(exc))
+    code, out, err = run(capsys, command, write("i.json", '{"m":1,"jobs":[]}'), general)
+    assert (code, out) == (5, "")
+    assert len(err.encode()) < 1024, err[:200]
+    assert err.startswith("error: invalid schedule: job 'j0': not in instance; ")
+    assert err.endswith("; and 99980 more\n")
+    [exc] = raised  # the message is capped, the list is whole
+    assert exc.violations == [f"job {job_id!r}: not in instance" for job_id in sorted(ids)]
 
 
 # JSON that json.loads refuses with a plain ValueError (an integer literal

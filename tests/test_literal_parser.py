@@ -86,6 +86,7 @@ def replaced_parse_instance(text, from_string=replaced_from_string):
     raw_jobs = data["jobs"]
     if not isinstance(raw_jobs, list):
         raise InstanceError('"jobs" must be a list')
+    Instance((), data["m"])  # m is checked before the jobs
     jobs = []
     for idx, entry in enumerate(raw_jobs):
         jobs.append(

@@ -13,6 +13,18 @@ from sharedsched.model import (
 from sharedsched.transforms import parse_general_schedule
 
 
+@pytest.mark.parametrize("m,message", [('"x"', "m must be an int, got 'x'"), ("0", "m < 1")])
+def test_m_is_checked_before_any_job(monkeypatch, m, message):
+    calls = []
+    from_string = Dyadic.from_string
+    monkeypatch.setattr(Dyadic, "from_string", lambda text: calls.append(text) or from_string(text))
+    jobs = ",".join(f'{{"id":"j{i}","p":"{i + 1}","w":"1"}}' for i in range(100))
+    with pytest.raises(InstanceError, match=f"^{message}$"):
+        parse_instance(f'{{"m":{m},"jobs":[{jobs}]}}')
+    assert calls == []
+    assert len(parse_instance(f'{{"m":1,"jobs":[{jobs}]}}')) == len(calls) == 100
+
+
 def test_parse_minimal():
     inst = parse_instance('{"m":1,"jobs":[{"id":"a","p":"4","w":"1"}]}')
     assert len(inst) == 1

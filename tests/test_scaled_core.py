@@ -5,8 +5,8 @@
 ``single_processor_ascending`` run on integers scaled by one power of two
 and build ``Dyadic`` values only for their results (``evaluate``'s report
 only when a field is first read, so it is also checked against eagerly
-built reports); the inclusivity predicates and ``improve_by_exchanges``
-evaluate through the same halving recurrence (``engine._walk``).  Each is checked against two
+built reports); the inclusivity predicates evaluate through the same
+halving recurrence (``engine._walk``).  Each is checked against two
 references: the ``Fraction`` oracle in ``conftest``, and a test-local
 copy of the code that these functions replaced (the ``dyadic_*``
 functions below), which must agree on every value, every canonical form,
@@ -36,10 +36,8 @@ from sharedsched.engine import (
     start_times,
 )
 from sharedsched.model import Instance, InstanceError, Job
-from sharedsched import solvers
 from sharedsched.solvers import (
     equal_weights_value,
-    improve_by_exchanges,
     single_processor_ascending,
     solve_equal_weights,
 )
@@ -141,27 +139,6 @@ def dyadic_is_inclusive(values):
     for l in range(1, k):
         makespan = makespan + values[l].mul_pow2(-(k - l))
     return makespan < values[0]
-
-
-def dyadic_improve_by_exchanges(schedule, inst):
-    evaluate(schedule, inst)
-    sequences = [list(seq) for seq in schedule.sequences]
-    improved = True
-    while improved:
-        improved = False
-        for seq in sequences:
-            pos = 0
-            while pos < len(seq) - 1:
-                swapped = list(seq)
-                swapped[pos], swapped[pos + 1] = swapped[pos + 1], swapped[pos]
-                new_jobs = [inst.job(job_id) for job_id in swapped]
-                if check_feasible(new_jobs) is None:
-                    old_jobs = [inst.job(job_id) for job_id in seq]
-                    if evaluate_sequence(new_jobs) > evaluate_sequence(old_jobs):
-                        seq[:] = swapped
-                        improved = True
-                pos += 1
-    return SyncSchedule(tuple(tuple(seq) for seq in sequences))
 
 
 # -- Fraction-oracle helpers ----------------------------------------------------
@@ -572,7 +549,7 @@ def test_equal_weights_value_rejects_descending_lists():
         equal_weights_value([[Dyadic(1, 2)], [Dyadic(3, 2), Dyadic(1, 1)]])
 
 
-# -- inclusivity and local search ------------------------------------------------
+# -- inclusivity -----------------------------------------------------------------
 
 
 def oracle_inclusive(values):
@@ -620,62 +597,3 @@ def test_inclusivity_boundary():
     assert is_weight_inclusive([Job("a", 1, just_above), Job("b", 1, 8), Job("c", 1, 10)])
     assert is_processing_time_inclusive([]) and is_weight_inclusive([])
     assert is_processing_time_inclusive([Dyadic(3, 9)]) and is_weight_inclusive([Job("a", 1, 3)])
-
-
-def exchange_case(rng: random.Random):
-    """A schedule to improve: equal (p, w) pairs make equal-value swaps,
-    and short jobs after long ones make infeasible swaps."""
-    def pair():
-        return mixed_dyadic(rng, max_exp=3), mixed_dyadic(rng, max_exp=3)
-
-    pool = [pair() for _ in range(3)]
-    pairs = [rng.choice(pool) if rng.random() < 0.4 else pair() for _ in range(rng.randint(0, 9))]
-    inst = Instance(tuple(Job(f"j{i}", p, w) for i, (p, w) in enumerate(pairs)), rng.randint(1, 3))
-    sequences = [[] for _ in range(inst.m)]
-    for job in inst.jobs:
-        if rng.random() < 0.85:
-            sequences[rng.randrange(inst.m)].append(job)
-    for seq in sequences:
-        seq.sort(key=lambda j: j.p)  # ascending: feasible
-        if rng.random() < 0.3:
-            rng.shuffle(seq)  # often infeasible: both versions must raise alike
-    return inst, SyncSchedule(tuple(tuple(job.id for job in seq) for seq in sequences))
-
-
-def test_improve_by_exchanges_matches_replaced_loop(bounded_search):
-    rng = random.Random(17)
-    kinds = set()
-    for _ in range(400):
-        inst, schedule = exchange_case(rng)
-        new = outcome(improve_by_exchanges, schedule, inst)
-        assert new == outcome(dyadic_improve_by_exchanges, schedule, inst)
-        kinds.add(new[0])
-        if new[0] != "ok":
-            continue
-        for seq in new[1].sequences:  # a local optimum under the Fraction oracle
-            pairs = [(frac(inst.job(j).p), frac(inst.job(j).w)) for j in seq]
-            for pos in range(len(pairs) - 1):
-                swapped = pairs[:pos] + [pairs[pos + 1], pairs[pos]] + pairs[pos + 2 :]
-                if oracle_first_violation([p for p, _ in swapped]) is None:
-                    assert oracle_value(swapped) <= oracle_value(pairs)
-    assert kinds == {"ok", "InfeasibleScheduleError"}
-
-
-def test_improve_by_exchanges_skips_equal_and_infeasible_swaps(bounded_search):
-    # a, b are identical; c, d would be infeasible in any other order
-    inst = Instance((Job("a", 5, 2), Job("b", 5, 2), Job("c", 1, 1), Job("d", 16, 3)), 2)
-    schedule = SyncSchedule((("a", "b"), ("c", "d")))
-    assert improve_by_exchanges(schedule, inst) == schedule
-    assert dyadic_improve_by_exchanges(schedule, inst) == schedule
-
-
-def test_improve_by_exchanges_walks_each_candidate_once(monkeypatch):
-    # equal weights in ascending order are already optimal: exactly one sweep
-    jobs = tuple(Job(f"j{i}", Dyadic(2 * i + 3, i % 3), 5) for i in range(8))
-    inst = Instance(jobs, 1)
-    schedule = SyncSchedule((tuple(job.id for job in sorted(jobs, key=lambda j: j.p)),))
-    calls = []
-    walk = solvers._walk
-    monkeypatch.setattr(solvers, "_walk", lambda ps, ws=(): calls.append(len(ps)) or walk(ps, ws))
-    assert improve_by_exchanges(schedule, inst) == schedule
-    assert calls == [8] * 8  # the current order, then its 7 adjacent swaps

@@ -1,4 +1,4 @@
-"""Equal-weight solver, exhaustive oracle, local search, search differentials."""
+"""Equal-weight solver, exhaustive oracle, search differentials."""
 
 import random
 from fractions import Fraction
@@ -16,7 +16,6 @@ from sharedsched.solvers import (
     UnequalWeightsError,
     brute_force,
     equal_weights_value,
-    improve_by_exchanges,
     positional_weights,
     single_processor_ascending,
     solve_equal_weights,
@@ -143,6 +142,11 @@ def test_single_processor_ascending_examples():
     assert single_processor_ascending([D(7)]) == D(7, 1)
     assert single_processor_ascending([1, 1, 1]) == D(7, 3)
     assert single_processor_ascending([Job("a", 8, 1), Job("b", 4, 1)]) == 5
+    # descending 10, 9, 8 is feasible, but ascending is what reaches the closed form
+    inst = make_instance([("a", 10, 1), ("b", 9, 1), ("c", 8, 1)], 1)
+    assert check_feasible([inst.job(j) for j in ("a", "b", "c")]) is None
+    ascending = SyncSchedule((("c", "b", "a"),))
+    assert evaluate(ascending, inst).total == single_processor_ascending([8, 9, 10])
 
 
 # -- brute force ------------------------------------------------------------------
@@ -366,53 +370,6 @@ def test_pure_kernel_tie_break():
     value, assign, orders = _permsearch.search([4, 4], [1, 1], 2)
     assert assign == (1, 2)
     assert orders == ((0,), (1,))
-
-
-# -- local search -------------------------------------------------------------------
-
-
-def test_exchanges_reach_ascending_for_unit_weights(bounded_search):
-    inst = make_instance([("a", 10, 1), ("b", 9, 1), ("c", 8, 1)], 1)
-    start = SyncSchedule((("a", "b", "c"),))  # descending; feasible
-    assert check_feasible([inst.job(j) for j in start.sequences[0]]) is None
-    result = improve_by_exchanges(start, inst)
-    assert result.sequences == (("c", "b", "a"),)
-    assert evaluate(result, inst).total == single_processor_ascending([8, 9, 10])
-
-
-def test_exchanges_identity_when_optimal(bounded_search):
-    inst = make_instance([("a", 4, 1), ("b", 8, 1)], 1)
-    start = SyncSchedule((("a", "b"),))
-    assert improve_by_exchanges(start, inst) == start
-
-
-def test_exchanges_requires_feasible_input(bounded_search):
-    from sharedsched.engine import InfeasibleScheduleError
-
-    inst = make_instance([("a", 4, 1), ("b", 2, 1)], 1)
-    with pytest.raises(InfeasibleScheduleError):
-        improve_by_exchanges(SyncSchedule((("a", "b"),)), inst)
-
-
-def test_exchanges_never_decrease_and_stay_feasible(rng, bounded_search):
-    for _ in range(40):
-        n, m = rng.randint(1, 6), rng.randint(1, 2)
-        inst = make_instance(
-            [(f"j{i}", rng.randint(1, 30), rng.randint(1, 9)) for i in range(n)], m
-        )
-        schedule, _ = brute_force(inst)
-        # start from a feasible greedy schedule: ascending round-robin deal
-        jobs = sorted(inst.jobs, key=lambda j: (j.p, j.id))
-        seqs = [[] for _ in range(m)]
-        for idx, job in enumerate(jobs):
-            seqs[idx % m].append(job.id)
-        for seq in seqs:
-            seq.sort(key=lambda jid: (inst.job(jid).p, jid))
-        start = SyncSchedule(tuple(tuple(s) for s in seqs))
-        before = evaluate(start, inst).total
-        result = improve_by_exchanges(start, inst)
-        after = evaluate(result, inst).total  # raises if infeasible
-        assert after >= before
 
 
 def test_search_limits_validation():

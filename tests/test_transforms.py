@@ -30,7 +30,7 @@ from sharedsched.transforms import (
     value_general,
 )
 
-from conftest import make_instance, random_general_schedule
+from conftest import make_instance, random_general_schedule, shared_chunks
 
 D = Dyadic
 
@@ -225,7 +225,7 @@ def test_reorder_swaps_disagreeing_pair():
     g = schedule(a=(1, ((0, 2),), 10), b=(1, ((2, 5),), 6))
     assert validate(g, inst) == []
     result = reorder(g)
-    chunks = result.chunks_on(1)
+    chunks = shared_chunks(result, 1)
     assert [c[2] for c in chunks] == ["b", "a"]
     assert is_ordered(result)
     assert value_general(result, inst) == value_general(g, inst)

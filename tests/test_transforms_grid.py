@@ -46,7 +46,7 @@ from sharedsched.transforms import (
     validate,
 )
 
-from conftest import frac, make_instance, random_general_schedule
+from conftest import frac, make_instance, random_general_schedule, shared_chunks
 
 DIGESTS = Path(__file__).parent / "data" / "transforms_digests.json"
 
@@ -194,11 +194,11 @@ def _moves(general, seed):
     """pull/push on the longest processor of a synchronized schedule: a
     legal pull, the push that undoes it, and two out-of-range calls."""
     rng = random.Random(seed)
-    procs = general.processors()
+    procs = sorted({p.processor for p in general.placements.values()} - {None})
     if not procs:
         return {}
-    proc = max(procs, key=lambda p: (len(general.chunks_on(p)), -p))
-    chunks = general.chunks_on(proc)
+    proc = max(procs, key=lambda p: (len(shared_chunks(general, p)), -p))
+    chunks = shared_chunks(general, proc)
     if len(chunks) < 2:
         return {}
     i = rng.randint(2, len(chunks))
