@@ -29,14 +29,15 @@ geometrically decaying correction through the jobs behind it.
 All of it runs on the scaled-integer core: times become integers over one
 power of two, each processor's chunk list stays in start order as moves
 update it, and a halving first refines the whole grid by the digits it
-needs.  ``Dyadic`` values are built only where results and messages leave.
+needs (``compact_idle`` by at most one, before it fills anything).
+``normalize``, ``merge_preemptions`` and ``reorder`` are each one sweep per
+processor.  ``Dyadic`` values are built only where results and messages leave.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from typing import Mapping
 
 from .dyadic import Dyadic, _clear_denominators, _make, _quoted, as_dyadic
@@ -390,6 +391,12 @@ def _normalize(grid: _Grid) -> None:
 
 
 def _compact_idle(grid: _Grid) -> None:
+    # a fill of 2*eps leaves the rest of its hole with the hole's parity, and it
+    # moves the last chunk's end, which no hole follows: once every hole on the
+    # entry grid is even, every fill is exact.  One binary digit makes them even,
+    # and doubling every time commutes with the fills, so it can come first
+    gaps = [b[0] - a[1] for chunks in grid.lists() for a, b in zip([[0, 0]] + chunks, chunks)]
+    grid.shift(any(gap & 1 for gap in gaps))
     private = grid.private
     for chunks in grid.lists():
         t = len(chunks) - 1
@@ -401,9 +408,6 @@ def _compact_idle(grid: _Grid) -> None:
             if t < 0:
                 break
             lo, hi = (chunks[t - 1][1] if t else 0), chunks[t][0]
-            if (hi - lo) & 1:
-                grid.shift(1)  # the hole's half needs one more binary digit
-                continue
             last = chunks[-1]
             eps = min((hi - lo) >> 1, last[1] - last[0])
             last[1] -= eps
@@ -414,25 +418,25 @@ def _compact_idle(grid: _Grid) -> None:
 
 
 def _merge_preemptions(grid: _Grid) -> None:
+    # merging a job's first piece into its next one slides every chunk between
+    # them, and the next piece's start, left by the first piece's length.  Done
+    # left to right, the slides add up: each job keeps only its last piece, which
+    # grows at the front by the job's earlier pieces and, with every chunk, moves
+    # left by the earlier pieces of each other job still held back at that point
     for chunks in grid.lists():
-        count = Counter(job_id for _, _, job_id in chunks)
-        t = 0
-        while True:
-            # the preempted job whose first interval starts earliest
-            while t < len(chunks) and count[chunks[t][2]] < 2:
-                t += 1
-            if t == len(chunks):
-                break
-            l, r, job_id = chunks[t]
-            shift = r - l
-            k = t + 1
-            while chunks[k][2] != job_id:
-                chunks[k][0] -= shift
-                chunks[k][1] -= shift
-                k += 1
-            chunks[k][0] -= shift  # the first piece, reattached before the second
-            del chunks[t]
-            count[job_id] -= 1
+        last = {job_id: t for t, (_, _, job_id) in enumerate(chunks)}
+        held: dict[str, int] = {}  # each held-back job's earlier pieces' length
+        back = 0  # their sum
+        laid = []
+        for t, (a, b, job_id) in enumerate(chunks):
+            mine = held.pop(job_id, 0)
+            if last[job_id] == t:
+                back -= mine
+                laid.append([a - back - mine, b - back, job_id])
+            else:
+                held[job_id] = mine + b - a
+                back += b - a
+        chunks[:] = laid
 
 
 def _reorder(grid: _Grid) -> None:
@@ -477,8 +481,11 @@ def compact_idle(g: GeneralSchedule) -> GeneralSchedule:
     Each move takes the latest-finishing job on the processor, clips a
     piece of length ``e`` from the end of both its private span and its
     final shared interval, and re-executes both pieces inside the hole;
-    that raises the value by ``e`` times the job's weight.  Requires a
-    valid normal schedule.
+    that raises the value by ``e`` times the job's weight.  A hole of
+    length ``h`` takes ``e <= h/2``, so the times gain one binary digit
+    when some hole's length has as many fractional binary digits as the
+    schedule's finest time, and none otherwise.  Requires a valid normal
+    schedule.
     """
     return _run_pass(g, "compact_idle")
 
@@ -486,10 +493,13 @@ def compact_idle(g: GeneralSchedule) -> GeneralSchedule:
 def merge_preemptions(g: GeneralSchedule) -> GeneralSchedule:
     """Left-shift until every job occupies one shared interval.
 
-    Repeatedly takes a preempted job's first two intervals, slides the
-    work separating them left by the first interval's length, and
-    reattaches that first piece directly before the second.  Completion
-    times never grow and the value is unchanged.  Requires valid+normal.
+    The result of repeatedly taking a preempted job's first two intervals,
+    sliding the work separating them left by the first interval's length,
+    and reattaching that first piece directly before the second: each job
+    ends as one interval at the end of its last piece, moved left by the
+    other jobs' pieces held back at that point.  It is laid out in one
+    sweep per processor.  Completion times never grow and the value is
+    unchanged.  Requires valid+normal.
     """
     return _run_pass(g, "merge_preemptions")
 

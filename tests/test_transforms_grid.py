@@ -11,6 +11,13 @@ corpus of general schedules:
   is never re-recorded: a mismatch means the moves changed.
 * a ``Fraction`` recomputation of values and validity from the intervals.
 
+``compact_idle`` and ``merge_preemptions`` were loops until they became
+one refinement and one sweep per processor; test-local copies of the
+loops (``replaced_*`` below) check them on every grid they can differ
+on, and two contracts pin what the rewrite bought: the merge's work is
+linear in the chunks, and ``compact_idle`` refines the grid by exactly
+one binary digit when an entry hole has odd length and by none otherwise.
+
 The corpus: ``conftest.random_general_schedule``; interleaved schedules
 (idle holes, two chunks per job) and staircases (a push/pull step per
 job, with evictions when weights fall); endpoints with mixed dyadic
@@ -22,6 +29,8 @@ from __future__ import annotations
 import hashlib
 import json
 import random
+import sys
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -34,6 +43,9 @@ from sharedsched.transforms import (
     InvalidScheduleError,
     JobPlacement,
     PreconditionError,
+    _compact_idle,
+    _Grid,
+    _merge_preemptions,
     compact_idle,
     is_synchronized,
     merge_preemptions,
@@ -327,6 +339,195 @@ def test_pass_values_never_decrease(name, g, inst):
     for step, value in report.pass_values[:-1]:
         work = globals()[step](work)
         assert frac(value) == oracle_value(work, inst)
+
+
+# -- the sweeps against the loops they replaced -----------------------------------
+
+
+def replaced_compact_idle(grid):
+    private = grid.private
+    for chunks in grid.lists():
+        t = len(chunks) - 1
+        while chunks:
+            t = min(t + 1, len(chunks) - 1)
+            while t >= 0 and not (chunks[t - 1][1] if t else 0) < chunks[t][0]:
+                t -= 1
+            if t < 0:
+                break
+            lo, hi = (chunks[t - 1][1] if t else 0), chunks[t][0]
+            if (hi - lo) & 1:
+                grid.shift(1)
+                continue
+            last = chunks[-1]
+            eps = min((hi - lo) >> 1, last[1] - last[0])
+            last[1] -= eps
+            private[last[2]] -= eps
+            chunks.insert(t, [lo, lo + 2 * eps, last[2]])
+            if last[0] == last[1]:
+                chunks.pop()
+
+
+def replaced_merge_preemptions(grid):
+    for chunks in grid.lists():
+        count = Counter(job_id for _, _, job_id in chunks)
+        t = 0
+        while True:
+            while t < len(chunks) and count[chunks[t][2]] < 2:
+                t += 1
+            if t == len(chunks):
+                break
+            l, r, job_id = chunks[t]
+            shift = r - l
+            k = t + 1
+            while chunks[k][2] != job_id:
+                chunks[k][0] -= shift
+                chunks[k][1] -= shift
+                k += 1
+            chunks[k][0] -= shift
+            del chunks[t]
+            count[job_id] -= 1
+
+
+def nested_order(ids, pieces, rng):
+    """The pieces of ``ids[0]`` enclose nested blocks of the other jobs."""
+    if not ids:
+        return []
+    head, rest = ids[0], ids[1:]
+    cuts = [0] + sorted(rng.randint(0, len(rest)) for _ in range(pieces[head] - 1)) + [len(rest)]
+    order = [head]
+    for lo, hi in zip(cuts, cuts[1:-1]):
+        order += nested_order(rest[lo:hi], pieces, rng) + [head]
+    return order + nested_order(rest[cuts[-2] :], pieces, rng)
+
+
+def round_robin_order(ids, pieces, rng):
+    return [job_id for r in range(4) for job_id in ids if pieces[job_id] > r]
+
+
+def shuffled_order(ids, pieces, rng):
+    order = [job_id for job_id in ids for _ in range(pieces[job_id])]
+    rng.shuffle(order)
+    return order
+
+
+def preempted(rng):
+    """1-4 pieces per job on 1-3 processors, nested, interleaved or
+    shuffled, with idle gaps before some pieces.  Each processor draws its
+    exponents up to its own bound, so on the common grid odd holes can sit
+    on some processors and not on others.  Normal: each private completion
+    is at or past the job's last piece."""
+    m = rng.randint(1, 3)
+    rows = []
+    for proc in range(1, m + 1):
+        ids = [f"q{proc}j{idx}" for idx in range(rng.randint(1, 5))]
+        pieces = {job_id: rng.randint(1, 4) for job_id in ids}
+        layout = rng.choice([nested_order, round_robin_order, shuffled_order])
+        top = rng.randint(0, 4)
+        cursor = Dyadic(0)
+        spans = {job_id: [] for job_id in ids}
+        for job_id in layout(ids, pieces, rng):
+            if rng.random() < 0.4:
+                cursor += Dyadic(rng.randint(1, 7), rng.randint(0, top))
+            start, cursor = cursor, cursor + Dyadic(rng.randint(1, 9), rng.randint(0, top))
+            spans[job_id].append((start, cursor))
+        for job_id in ids:
+            private = spans[job_id][-1][1] + Dyadic(rng.randint(0, 5), rng.randint(0, top))
+            rows.append((job_id, proc, spans[job_id], private, rng.randint(1, 9)))
+    return _build(rows, m)[0]
+
+
+def odd_hole_on_processor_2():
+    """Processor 1 has an even hole and processor 2 an odd one, so the
+    replaced loop fills processor 1 before it refines the grid."""
+    return _build([("a", 1, [(2, 6)], 6, 1), ("b", 2, [(1, 4)], 4, 1)], 2)
+
+
+def holes(chunks):
+    """The length of each idle hole on one processor of a grid."""
+    gaps = [b[0] - a[1] for a, b in zip([[0, 0]] + chunks, chunks)]
+    return [gap for gap in gaps if gap > 0]
+
+
+def state(grid):
+    return grid.chunks, grid.private, grid.scale
+
+
+PREEMPTED = [preempted(random.Random(seed)) for seed in range(400)]
+NORMAL = PREEMPTED + [normalize(g) for _, g, _ in CORPUS] + [odd_hole_on_processor_2()[0]]
+
+
+def test_preempted_corpus_covers_what_the_sweeps_must_match():
+    most_pieces, odd_holes = set(), set()
+    for g in PREEMPTED:
+        lists = _Grid(g).lists()
+        most_pieces |= {max(Counter(c[2] for c in chunks).values()) for chunks in lists}
+        odd_holes.add(tuple(any(h & 1 for h in holes(chunks)) for chunks in lists))
+    assert most_pieces == {1, 2, 3, 4}
+    assert {(False,), (True,), (False, True), (True, False)} <= odd_holes
+    assert any(len(set(odd)) == 2 for odd in odd_holes if len(odd) == 3)
+
+
+@pytest.mark.parametrize("group", range(4))
+def test_sweeps_match_the_replaced_loops(group):
+    for g in NORMAL[group::4]:
+        new, old = _Grid(g), _Grid(g)
+        _compact_idle(new)
+        replaced_compact_idle(old)
+        assert state(new) == state(old)
+        _merge_preemptions(new)
+        replaced_merge_preemptions(old)
+        assert state(new) == state(old)
+        # and on the holes that compact_idle would have filled
+        new, old = _Grid(g), _Grid(g)
+        _merge_preemptions(new)
+        replaced_merge_preemptions(old)
+        assert state(new) == state(old)
+
+
+REFINED = [(name, normalize(g)) for name, g, _ in CORPUS]
+REFINED.append(("odd-hole-on-processor-2", odd_hole_on_processor_2()[0]))
+
+
+@pytest.mark.parametrize("name,g", REFINED, ids=[name for name, _ in REFINED])
+def test_compact_idle_refines_by_one_digit_exactly_for_an_odd_hole(name, g):
+    grid = _Grid(g)
+    scale = grid.scale
+    odd = any(h & 1 for chunks in grid.lists() for h in holes(chunks))
+    _compact_idle(grid)
+    assert grid.scale - scale == odd
+
+
+def merge_line_events(n):
+    """Line events inside ``_merge_preemptions`` on ``n`` jobs, job ``i``
+    running ``(i, i+1)`` and ``(n+i, n+i+1)`` on one processor."""
+    placements = {
+        f"j{i}": JobPlacement(1, ((i, i + 1), (n + i, n + i + 1)), n + i + 1) for i in range(n)
+    }
+    grid = _Grid(GeneralSchedule(placements))
+    count = 0
+
+    def lines(frame, event, arg):
+        nonlocal count
+        count += event == "line"
+        return lines
+
+    def calls(frame, event, arg):
+        return lines if frame.f_code is _merge_preemptions.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(calls)
+    try:
+        _merge_preemptions(grid)
+    finally:
+        sys.settrace(previous)
+    # each job's earlier pieces are held back past all later jobs' first pieces
+    assert grid.chunks[1] == [[2 * i, 2 * i + 2, f"j{i}"] for i in range(n)]
+    return count
+
+
+def test_merge_work_is_linear_in_the_chunks():
+    # a ratio, not a count: Python 3.12 traces the comprehension's lines here too
+    assert merge_line_events(1000) <= 2 * merge_line_events(500) + 64
 
 
 if __name__ == "__main__":
