@@ -40,7 +40,7 @@ EXIT_INFEASIBLE = 5
 
 _PROPERTIES = ("v-shape", "ordered", "synchronized", "inclusive")
 
-# gantt builds every row at full width, so its memory and output grow with it
+# gantt builds each row at full width, so its time and output grow with it
 _MAX_WIDTH = 10_000
 
 
@@ -131,8 +131,11 @@ def _cmd_brute(args) -> int:
 
 def _cmd_eval(args) -> int:
     inst = _load_instance(args.instance)
-    report = _sync_report(args.schedule, inst)
-    print(_text(report, engine._report_json))
+    chunks = engine._report_chunks(_sync_report(args.schedule, inst))
+    sys.stdout.write(_text(chunks, next))  # every value is checked before the first chunk
+    for chunk in chunks:
+        sys.stdout.write(chunk)
+    sys.stdout.write("\n")
     return EXIT_OK
 
 
@@ -259,7 +262,7 @@ def _cmd_gantt(args) -> int:
         # synchronized: a shared job's private span ends with its shared one
         private_end.update(zip(proc.order, proc.start_times[1:]))
     horizon = max(private_end.values(), default=Dyadic(0))
-    lines = [f"time 0..{_text(horizon)}  ({width} columns)"]
+    print(f"time 0..{_text(horizon)}  ({width} columns)")  # the one value that may not print
     labels = [f"M{proc.id}" for proc in report.processors]
     labels += [f"P {job.id}" for job in inst.jobs]
     pad = max((len(label) for label in labels), default=0)
@@ -271,14 +274,13 @@ def _cmd_gantt(args) -> int:
             hi = min(hi, width)
             fill = (job_id * ((hi - lo) // len(job_id) + 1))[: hi - lo]
             cells[lo:hi] = list(fill)
-        lines.append(f"{f'M{proc.id}'.ljust(pad)} |{''.join(cells)}|")
+        print(f"{f'M{proc.id}'.ljust(pad)} |{''.join(cells)}|")
     for job in inst.jobs:
         cells = [" "] * width
         hi = max(_bar_column(private_end[job.id], horizon, width), 1)
         hi = min(hi, width)
         cells[0:hi] = ["="] * hi
-        lines.append(f"{f'P {job.id}'.ljust(pad)} |{''.join(cells)}|")
-    print("\n".join(lines))
+        print(f"{f'P {job.id}'.ljust(pad)} |{''.join(cells)}|")
     return EXIT_OK
 
 

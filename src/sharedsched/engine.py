@@ -23,8 +23,9 @@ used by the solvers and the hardness generator.
 from __future__ import annotations
 
 import json
+import sys
 from functools import cached_property
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .dyadic import ZERO, Dyadic, _clear_denominators, _make, _quoted, _text, as_dyadic
 from .model import Instance, InstanceError, Job, _load_json, _Record, _trusted
@@ -153,6 +154,10 @@ class EvalReport(_Record):
         return value
 
 
+# the jobs of ``job_overlaps`` in one chunk of :func:`_report_chunks`
+_SLICE = 256
+
+
 def _strings(texts: list[str]) -> list[str]:
     """The pieces of the JSON array of ``texts``, each text a piece of its own."""
     pieces = ['", "'] * (2 * len(texts) + 1)
@@ -161,33 +166,46 @@ def _strings(texts: list[str]) -> list[str]:
     return pieces if texts else ["[]"]
 
 
-def _report_json(report: EvalReport) -> str:
-    """The JSON text of a report that :func:`evaluate` built, byte for byte
-    ``json.dumps(..., sort_keys=True)`` of the ``str`` of each field, joined
-    once from pieces made from the integers the report keeps: no ``Dyadic``
-    per value, and each exponent's denominator converted once.  A value text
-    holds only ASCII digits, ``-`` and ``/``, which JSON prints as they are,
-    so only the job ids go through the JSON string encoder.  Raises
-    ``ValueError`` for a value longer than Python's int-to-str digit limit.
+def _report_chunks(report: EvalReport) -> Iterator[str]:
+    """The JSON text of a report that :func:`evaluate` built, in chunks:
+    ``_SLICE`` jobs of ``job_overlaps`` each, then one per processor, then
+    the total.  Joined, they are byte for byte ``json.dumps(...,
+    sort_keys=True)`` of the ``str`` of each field.  The text is made from
+    the integers the report keeps: no ``Dyadic`` per value, and each
+    exponent's denominator converted once.  A value text holds only ASCII
+    digits, ``-`` and ``/``, which JSON prints as they are, so only the job
+    ids go through the JSON string encoder.
+
+    Every value is known to print before the first chunk: a value longer
+    than Python's int-to-str digit limit raises ``ValueError`` there.  The
+    overlap texts are made then and kept for both places they appear; a
+    processor's start times are converted only for its own chunk.
     """
     dens: dict[int, str] = {}
-    quote = json.encoder.encode_basestring_ascii  # what json.dumps applies to a str
-    procs = []
-    overlap_of = {}  # job id -> its overlap text; a job on no processor reads "0"
+    # a number below 2**bits has at most the limit's decimal digits; 0 is no limit
+    bits = sys.get_int_max_str_digits() * 3.32 or float("inf")
+    overlap = {}  # job id -> its overlap text; a job on no processor reads "0"
     for proc in report.processors:
         times, s = proc._times, proc._scale
-        overlaps = [_text(b - a, s, dens) for a, b in zip(times, times[1:])]
-        overlap_of.update(zip(proc.order, overlaps))
-        procs.append(f'{{"id": {proc.id}, "order": {json.dumps(proc.order)}, "overlaps": ')
-        procs += (*_strings(overlaps), ', "start_times": ')
-        procs += (*_strings([_text(t, s, dens) for t in times]), "}, ")
-    procs[-1] = "}"  # a schedule has at least one processor
-    out = ['{"job_overlaps": {']
-    for job_id in sorted(job.id for job in report._jobs):
-        out += (", ", quote(job_id), ': "', overlap_of.get(job_id, "0"), '"')
-    del out[1:2]  # the first separator, if there is a job
-    out += ['}, "processors": [', *procs, f'], "total": "{report.total}"}}']
-    return "".join(out)
+        overlap.update(zip(proc.order, [_text(b - a, s, dens) for a, b in zip(times, times[1:])]))
+        # times ascend from 0: each reduced numerator is at most times[-1], each denominator 2**s
+        if max(times[-1].bit_length(), s + 1) > bits:
+            for t in times:
+                _text(t, s, dens)
+    total = str(report.total)
+    quote = json.encoder.encode_basestring_ascii  # what json.dumps applies to a str
+    ids = sorted(job.id for job in report._jobs)
+    yield '{"job_overlaps": {'
+    for i in range(0, len(ids), _SLICE):
+        texts = [f'{quote(job)}: "{overlap.get(job, "0")}"' for job in ids[i : i + _SLICE]]
+        yield (", " if i else "") + ", ".join(texts)
+    yield '}, "processors": ['
+    for idx, proc in enumerate(report.processors):
+        head = f'{{"id": {proc.id}, "order": {json.dumps(proc.order)}, "overlaps": '
+        overlaps = _strings([overlap[job] for job in proc.order])
+        starts = _strings([_text(t, proc._scale, dens) for t in proc._times])
+        yield "".join([", " if idx else "", head, *overlaps, ', "start_times": ', *starts, "}"])
+    yield f'], "total": "{total}"}}'
 
 
 def _times(items: Iterable) -> list[Dyadic]:

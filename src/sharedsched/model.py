@@ -233,6 +233,7 @@ def parse_instance(text: bytes | str) -> Instance:
     for idx, entry in enumerate(raw_jobs):
         job_id = _job_id(entry, idx, "p", "w")
         raw_p, raw_w = entry["p"], entry["w"]
+        raw_jobs[idx] = None  # the document is ours: free each entry as the jobs grow
         # a repeated string literal is found here, without a call per value
         p = get(raw_p) if type(raw_p) is str else None
         if p is None:

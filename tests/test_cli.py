@@ -17,7 +17,7 @@ from sharedsched.cli import main
 from sharedsched.dyadic import Dyadic
 from sharedsched.engine import (
     SyncSchedule,
-    _report_json,
+    _report_chunks,
     check_feasible,
     evaluate,
     is_processing_time_inclusive,
@@ -45,6 +45,7 @@ from sharedsched.transforms import (
 )
 
 from conftest import make_instance, random_general_schedule, shared_chunks
+from test_memory_contract import replaced_report_json
 
 CHECK_PROPERTIES = ["v-shape", "ordered", "synchronized", "inclusive"]
 
@@ -189,24 +190,6 @@ def test_eval_report(workdir, capsys):
     assert data["job_overlaps"] == {"a": "2", "b": "3"}
 
 
-def replaced_report_json(report):
-    """The eval report as the CLI built it before it printed from integers:
-    a dict of ``str`` of each ``Dyadic`` field, for ``json.dumps``."""
-    return {
-        "processors": [
-            {
-                "id": proc.id,
-                "order": list(proc.order),
-                "start_times": [str(t) for t in proc.start_times],
-                "overlaps": [str(b) for b in proc.overlaps],
-            }
-            for proc in report.processors
-        ],
-        "job_overlaps": {job_id: str(value) for job_id, value in report.job_overlaps.items()},
-        "total": str(report.total),
-    }
-
-
 # ids that json.dumps escapes, plus plain ones that sort around them
 ODD_IDS = ["é", 'q"uote', "back\\slash", "tab\tnl\n", "日本", "\U0001f600", "\x7f", "\ud800"]
 ODD_IDS += ["z", "A", "10", "9"]
@@ -230,7 +213,7 @@ def test_eval_text_matches_json_dumps_of_the_replaced_dict():
         schedule = SyncSchedule(tuple(tuple(j.id for j in sorted(b, key=lambda j: j.p)) for b in buckets))
         report = evaluate(schedule, Instance(jobs, m))
         expected = json.dumps(replaced_report_json(evaluate(schedule, Instance(jobs, m))), sort_keys=True)
-        assert _report_json(report) == expected
+        assert "".join(_report_chunks(report)) == expected
         compared += bool(jobs)
     assert compared > 250
 
@@ -793,6 +776,32 @@ def test_value_too_long_to_print_exits_4(workdir, capsys, command):
     assert out == ""
     assert err.startswith("error: a result value has more than 4300") and err.count("\n") == 1
     assert not (tmp_path / "hard.json").exists()
+
+
+def test_eval_value_too_long_on_the_last_processor_prints_nothing(workdir, capsys):
+    # eval writes its report in chunks: the first processor's would come out
+    # before the total, unless every value is checked first
+    _, write = workdir
+    jobs = json.loads(WIDE_JOB)["jobs"] + [{"id": "c", "p": "4", "w": "1"}]
+    inst = write("i.json", json.dumps({"m": 2, "jobs": jobs}))
+    sched = write("s.json", '{"processors":[{"id":1,"order":["c"]},{"id":2,"order":["a"]}]}')
+    code, out, err = run(capsys, "eval", inst, sched)
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error: a result value has more than 4300") and err.count("\n") == 1
+
+
+def test_eval_prints_values_of_exactly_the_digit_limit(workdir, capsys):
+    # 4300 digits each, though the last start time scaled by 2**2 (the
+    # report's integer form) has 4301: only the printed texts are checked
+    _, write = workdir
+    jobs = [{"id": "a", "p": "2" + "0" * 4299, "w": "1"}, {"id": "b", "p": "5" + "0" * 4299, "w": "1"}]
+    inst = write("i.json", json.dumps({"m": 1, "jobs": jobs}))
+    code, out, err = run(capsys, "eval", inst, write("s.json", '{"processors":[{"id":1,"order":["a","b"]}]}'))
+    assert (code, err) == (0, "")
+    data = json.loads(out)
+    assert data["processors"][0]["start_times"] == ["0", "1" + "0" * 4299, "3" + "0" * 4299]
+    assert data["total"] == "3" + "0" * 4299
 
 
 @pytest.mark.parametrize("out", [False, True])

@@ -27,7 +27,7 @@ from sharedsched.engine import (
     InfeasibleScheduleError,
     ProcessorEval,
     SyncSchedule,
-    _report_json,
+    _report_chunks,
     check_feasible,
     evaluate,
     evaluate_sequence,
@@ -340,8 +340,8 @@ def text_cases():
 
 def report_texts(report):
     """Each processor's start-time and overlap texts, and each job's
-    overlap text, as ``_report_json`` prints them."""
-    data = json.loads(_report_json(report))
+    overlap text, as the chunks of ``_report_chunks`` print them."""
+    data = json.loads("".join(_report_chunks(report)))
     processors = [(proc["start_times"], proc["overlaps"]) for proc in data["processors"]]
     return processors, data["job_overlaps"]
 
