@@ -29,8 +29,8 @@ import sys
 from pathlib import Path
 
 from . import engine
-from .dyadic import Dyadic, _quoted
-from .model import Instance, InstanceError, Job, _instance_data, _load_json, parse_instance
+from .dyadic import ZERO, Dyadic, _make, _quoted
+from .model import Instance, InstanceError, Job, _instance_data, _load_json, _trusted, parse_instance
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -113,9 +113,17 @@ def _cmd_solve(args) -> int:
     from . import solvers
 
     inst = _load_instance(args.instance)
-    schedule = solvers.solve_equal_weights(inst)
-    report = engine.evaluate(schedule, inst)
-    _emit({"schedule": engine._schedule_data(schedule), "value": _text(report.total)})
+    orders, total = [], ZERO
+    for proc, jobs in enumerate(solvers._deal(inst), start=1):
+        # one walk per processor; an ascending order is feasible, but the check stays
+        _, _, bad, num, e = engine._walk([job.p for job in jobs], [job.w for job in jobs])
+        if bad is not None:
+            raise engine.InfeasibleScheduleError(bad, jobs[bad - 1].id, proc)
+        total = total + _make(num, e)
+        orders.append(tuple([job.id for job in jobs]))
+    # the deal places each job once: the schedule needs no re-validation
+    schedule = _trusted(engine.SyncSchedule, {"sequences": tuple(orders)})
+    _emit({"schedule": engine._schedule_data(schedule), "value": _text(total)})
     return EXIT_OK
 
 

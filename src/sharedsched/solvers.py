@@ -23,7 +23,7 @@ from typing import Sequence
 
 from .dyadic import ZERO, Dyadic, _clear_denominators, _make
 from .engine import SyncSchedule, _ascending, _times, _walk
-from .model import Instance, _Record
+from .model import Instance, Job, _Record, _trusted
 
 __all__ = [
     "PositionalWeights",
@@ -85,9 +85,9 @@ def positional_weights(n: int, m: int) -> PositionalWeights:
     return PositionalWeights(k, tail, tuple(weights))
 
 
-def solve_equal_weights(inst: Instance) -> SyncSchedule:
-    """Optimal schedule for equal weights; every job lands on a shared
-    processor and every per-processor order is ascending."""
+def _deal(inst: Instance) -> list[list[Job]]:
+    """Each processor's jobs in the equal-weight deal, ascending in ``p``:
+    descending ``p`` with ties by ascending id, dealt round robin."""
     if not inst.equal_weights():
         raise UnequalWeightsError("weights are not all equal; use brute_force instead")
     jobs, m = inst.jobs, inst.m
@@ -95,8 +95,15 @@ def solve_equal_weights(inst: Instance) -> SyncSchedule:
     # descending on the integer keys; the sort is stable, so ties keep ascending id
     by_id = sorted(range(len(jobs)), key=lambda i: jobs[i].id)
     dealt = sorted(by_id, key=keys.__getitem__, reverse=True)
-    shares = [sorted(dealt[q::m], key=keys.__getitem__) for q in range(m)]
-    return SyncSchedule([[jobs[i].id for i in share] for share in shares])
+    return [[jobs[i] for i in sorted(dealt[q::m], key=keys.__getitem__)] for q in range(m)]
+
+
+def solve_equal_weights(inst: Instance) -> SyncSchedule:
+    """Optimal schedule for equal weights; every job lands on a shared
+    processor and every per-processor order is ascending.  The deal places
+    each job exactly once, so the schedule is built without re-validation."""
+    sequences = tuple([tuple([job.id for job in share]) for share in _deal(inst)])
+    return _trusted(SyncSchedule, {"sequences": sequences})
 
 
 def equal_weights_value(partition: Sequence[Sequence]) -> Dyadic:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import sharedsched
-from sharedsched import cli, transforms
+from sharedsched import cli, engine, solvers, transforms
 from sharedsched.cli import main
 from sharedsched.dyadic import Dyadic
 from sharedsched.engine import (
@@ -44,8 +44,8 @@ from sharedsched.transforms import (
     validate,
 )
 
-from conftest import make_instance, random_general_schedule, shared_chunks
-from test_memory_contract import replaced_report_json
+from conftest import frac, make_instance, oracle_value, random_general_schedule, shared_chunks
+from test_memory_contract import replaced_report_json, replaced_solve_text
 
 CHECK_PROPERTIES = ["v-shape", "ordered", "synchronized", "inclusive"]
 
@@ -97,13 +97,74 @@ def test_solve_single_job(workdir, capsys):
 
 def test_solve_weighted_exits_3(workdir, capsys):
     _, write = workdir
-    inst = write(
-        "w.json",
-        '{"m":1,"jobs":[{"id":"a","p":"4","w":"1"},{"id":"b","p":"4","w":"2"}]}',
-    )
-    code, _, err = run(capsys, "solve", inst)
-    assert code == 3
-    assert "brute" in err
+    for weights in [("1", "2"), ("2", "3/2"), ("4/2", "6/2"), (2, "5/2^1")]:
+        jobs = [{"id": job_id, "p": "4", "w": w} for job_id, w in zip("ab", weights)]
+        code, out, err = run(capsys, "solve", write("w.json", json.dumps({"m": 1, "jobs": jobs})))
+        assert (code, out) == (3, ""), weights
+        assert err.startswith("error: ") and err.count("\n") == 1 and "brute" in err, weights
+
+
+def _literal_of(rng, num: int, exp: int):
+    """A random literal of ``num / 2**exp``: a JSON int, ``"n"``, ``"n/d"``
+    or ``"n/2^k"``, with the fraction unreduced by up to two digits."""
+    extra = rng.randint(0, 2)
+    num, exp = num << extra, exp + extra
+    forms = [f"{num}/2^{exp}", f"{num}/{1 << exp}"]
+    if exp == 0:
+        forms += [num, str(num)]
+    return rng.choice(forms)
+
+
+def equal_weight_documents(count: int, seed: int = 20) -> list[str]:
+    """Seeded equal-weight instance documents: ``p`` with mixed exponents and
+    literal forms, drawn from a small pool so that ties are common; one weight
+    written in several literals; ids in shuffled order, whose string order
+    differs from their numeric order.  The first cases are n = 0, n = 1 and
+    m > n."""
+    rng = random.Random(seed)
+    shapes = [(0, 1), (0, 3), (1, 1), (1, 4), (3, 7)]
+    shapes += [(rng.randint(0, 14), rng.randint(1, 6)) for _ in range(count - len(shapes))]
+    docs = []
+    for n, m in shapes:
+        pool = [(rng.randint(1, 40), rng.randint(0, 3)) for _ in range(max(1, n // 2))]
+        w_num, w_exp = rng.randint(1, 5), rng.randint(0, 2)
+        ids = [f"j{i}" for i in rng.sample(range(3 * n + 1), n)]
+        jobs = [
+            {"id": job_id, "p": _literal_of(rng, *rng.choice(pool)), "w": _literal_of(rng, w_num, w_exp)}
+            for job_id in ids
+        ]
+        docs.append(json.dumps({"m": m, "jobs": jobs}))
+    return docs
+
+
+def test_equal_weight_corpus_covers_what_solve_must_match():
+    docs = [json.loads(doc) for doc in equal_weight_documents(300)]
+    insts = [parse_instance(json.dumps(doc)) for doc in docs]
+    assert {0, 1} <= {len(inst) for inst in insts}
+    assert any(inst.m > len(inst) >= 1 for inst in insts)
+    assert any(len({job.p for job in inst.jobs}) < len(inst) for inst in insts)  # ties in p
+    assert any(len({job.p.exponent for job in inst.jobs}) > 1 for inst in insts)
+    literals = [str(entry[key]) for doc in docs for entry in doc["jobs"] for key in ("p", "w")]
+    assert any(type(entry["p"]) is int for doc in docs for entry in doc["jobs"])
+    assert any("/2^" in text for text in literals) and any("/" in text and "^" not in text for text in literals)
+    # one weight under different literals
+    assert any(len({str(entry["w"]) for entry in doc["jobs"]}) > 1 for doc in docs)
+
+
+def test_solve_matches_the_replaced_route_and_the_oracle(workdir, capsys):
+    _, write = workdir
+    for case, doc in enumerate(equal_weight_documents(300)):
+        inst = parse_instance(doc)
+        code, out, err = run(capsys, "solve", write("i.json", doc))
+        assert (code, err) == (0, ""), case
+        assert out == replaced_solve_text(inst), case
+        data = json.loads(out)
+        pairs = [
+            [(frac(inst.job(job_id).p), frac(inst.job(job_id).w)) for job_id in proc["order"]]
+            for proc in data["schedule"]["processors"]
+        ]
+        assert len(pairs) == inst.m, case  # empty processors are printed
+        assert frac(Dyadic.from_string(data["value"])) == sum(map(oracle_value, pairs)), case
 
 
 def test_brute_v_instance(workdir, capsys):
@@ -234,6 +295,19 @@ def test_eval_unknown_id_exits_2(workdir, capsys):
     inst = write("i.json", '{"m":1,"jobs":[{"id":"a","p":"4","w":"1"}]}')
     sched = write("s.json", '{"processors":[{"id":1,"order":["ghost"]}]}')
     assert run(capsys, "eval", inst, sched)[0] == 2
+
+
+def test_error_without_exit_code_propagates_and_prints_nothing(workdir, capsys, monkeypatch):
+    # a fault of the program, not of its input: main re-raises it unreported
+    _, write = workdir
+
+    def broken(args):
+        raise RuntimeError("not a documented failure")
+
+    monkeypatch.setattr(cli, "_cmd_solve", broken)
+    with pytest.raises(RuntimeError, match="not a documented failure"):
+        main(["solve", write("i.json", FIVE_JOBS)])
+    assert capsys.readouterr() == ("", "")
 
 
 def test_parse_error_exits_2(workdir, capsys):
@@ -560,6 +634,33 @@ def test_eval_and_gantt_look_each_job_up_once(workdir, capsys, monkeypatch, comm
     code, _, err = run(capsys, command, inst_path, sched_path)
     assert (code, err) == (0, "")
     assert len(lookups) == 200
+
+
+def test_solve_reports_an_infeasible_deal_as_evaluate_does(workdir, capsys, monkeypatch):
+    # the deal is ascending, so never infeasible; a descending one shows the check stays
+    _, write = workdir
+    inst = make_instance([("small", 2, 1), ("big", 8, 1)], 2)
+    order = [[], [inst.job("big"), inst.job("small")]]
+    monkeypatch.setattr(solvers, "_deal", lambda inst: order)
+    code, out, err = run(capsys, "solve", write("i.json", serialize_instance(inst)))
+    with pytest.raises(engine.InfeasibleScheduleError) as raised:
+        evaluate(SyncSchedule([[job.id for job in jobs] for jobs in order]), inst)
+    assert (code, out, err) == (5, "", f"error: {raised.value}\n")
+    assert "processor 2, position 2" in err
+
+
+def test_solve_looks_no_job_up_and_builds_no_report(workdir, capsys, monkeypatch):
+    _, write = workdir
+    inst = make_instance([(f"j{i}", i % 97 + 1, 3) for i in range(4_000)], 8)
+    path = write("i.json", serialize_instance(inst))
+    lookups, reports = [], []
+    _counting(monkeypatch, Instance, "job", lookups)
+    _counting(monkeypatch, engine, "_evaluate", reports)
+    code, out, err = run(capsys, "solve", path)
+    assert (code, err) == (0, "")
+    assert (len(lookups), len(reports)) == (0, 0)
+    monkeypatch.undo()
+    assert out == replaced_solve_text(inst)
 
 
 def test_check_is_linear_in_jobs_plus_processors(workdir):

@@ -156,6 +156,28 @@ def test_int_interop():
     assert hash(Dyadic(3, 1)) == hash(Fraction(3, 2))
 
 
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: Dyadic(1) + 1.5,
+        lambda: Dyadic(1) - "x",
+        lambda: "x" - Dyadic(1),
+        lambda: Dyadic(1) * None,
+        lambda: Dyadic(1) < 1.5,
+    ],
+    ids=["add", "sub", "rsub", "mul", "lt"],
+)
+def test_operators_refuse_what_is_not_a_number(op):
+    # each operator returns NotImplemented, so Python raises TypeError
+    with pytest.raises(TypeError):
+        op()
+
+
+def test_truth_is_a_nonzero_mantissa():
+    assert Dyadic(1, 3) and Dyadic(-2)
+    assert not ZERO and not Dyadic(0, 5)
+
+
 def test_mul_pow2():
     assert Dyadic(3).mul_pow2(-2) == Dyadic(3, 2)
     assert Dyadic(3, 2).mul_pow2(2) == Dyadic(3)

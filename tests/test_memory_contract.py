@@ -1,4 +1,5 @@
-"""The memory an ``eval`` run holds follows the instance, not its report.
+"""The memory an ``eval`` or ``solve`` run holds follows the instance,
+not its report.
 
 A report's start times on a processor with k jobs carry about k more
 binary digits each, so the ``eval`` report of n jobs on m processors
@@ -14,7 +15,12 @@ module checks that:
 * the ``tracemalloc`` peak of the whole call stays within
   ``EVAL_PEAK_RATIO`` times the output's length;
 * the ``tracemalloc`` peak of ``parse_instance`` stays within
-  ``PARSE_PEAK_RATIO`` times the memory it leaves held.
+  ``PARSE_PEAK_RATIO`` times the memory it leaves held;
+* ``solve`` on the same instance prints what the route it replaced
+  printed (:func:`replaced_solve_text`), and its ``tracemalloc`` peak stays
+  within ``SOLVE_PEAK_RATIO`` times that of reading and parsing the
+  instance: it prints from the deal's job lists, one integer walk per
+  processor, and builds no report.
 
 The module imports neither pytest nor the test helpers, so it runs on any
 supported interpreter and prints its ratios::
@@ -31,12 +37,14 @@ import tracemalloc
 from pathlib import Path
 
 from sharedsched.cli import main
-from sharedsched.engine import evaluate, parse_sync_schedule
+from sharedsched.engine import _schedule_data, evaluate, parse_sync_schedule
 from sharedsched.model import parse_instance
+from sharedsched.solvers import solve_equal_weights
 
 N, M, SEED = 4_000, 8, 0
 EVAL_PEAK_RATIO = 2.5
 PARSE_PEAK_RATIO = 1.5
+SOLVE_PEAK_RATIO = 1.05
 
 
 def replaced_report_json(report):
@@ -55,6 +63,14 @@ def replaced_report_json(report):
         "job_overlaps": {job_id: str(value) for job_id, value in report.job_overlaps.items()},
         "total": str(report.total),
     }
+
+
+def replaced_solve_text(inst) -> str:
+    """``solve``'s stdout as the CLI printed it before it printed from the
+    deal: the solver's schedule, evaluated through ``evaluate``'s report."""
+    schedule = solve_equal_weights(inst)
+    data = {"schedule": _schedule_data(schedule), "value": str(evaluate(schedule, inst).total)}
+    return json.dumps(data, sort_keys=True) + "\n"
 
 
 def documents(seed: int = SEED) -> tuple[str, str]:
@@ -124,6 +140,31 @@ def measure(seed: int = SEED) -> dict:
     }
 
 
+def measure_solve(seed: int = SEED) -> dict:
+    """One traced ``solve`` run, after an untraced one, and one traced read
+    and parse of its instance.  The parse's peak, the decoded document beside
+    the jobs, is also the most a ``solve`` that keeps nothing per processor
+    past its walk holds; a report's start times held beside the jobs lift
+    the ratio to about 1.1."""
+    instance, _ = documents(seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp, "instance.json")
+        path.write_text(instance, encoding="utf-8")
+        sink = Sink()
+        with contextlib.redirect_stdout(Sink()):
+            # a first call makes what a process makes once (imports, lazy caches)
+            main(["solve", str(path)])
+        with contextlib.redirect_stdout(sink):
+            code, solve_peak, _ = traced(lambda: main(["solve", str(path)]))
+        inst, parse_peak, _ = traced(lambda: parse_instance(path.read_bytes()))
+    expected = replaced_solve_text(inst)
+    return {
+        "solve exit code": code,
+        "solve output matches": sink.digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest(),
+        "solve peak / parse peak": solve_peak / parse_peak,
+    }
+
+
 def check(result: dict) -> None:
     assert result["exit code"] == 0 and result["output matches"], result
     assert result["largest write / output"] <= 1 / 4, result
@@ -131,12 +172,22 @@ def check(result: dict) -> None:
     assert result["parse peak / held"] <= PARSE_PEAK_RATIO, result
 
 
+def check_solve(result: dict) -> None:
+    assert result["solve exit code"] == 0 and result["solve output matches"], result
+    assert result["solve peak / parse peak"] <= SOLVE_PEAK_RATIO, result
+
+
 def test_eval_memory_follows_the_instance():
     check(measure())
 
 
+def test_solve_memory_follows_the_instance():
+    check_solve(measure_solve())
+
+
 if __name__ == "__main__":
-    result = measure()
-    for name, value in result.items():
+    result, solve_result = measure(), measure_solve()
+    for name, value in {**result, **solve_result}.items():
         print(f"{name:>24}  {value:.3f}" if isinstance(value, float) else f"{name:>24}  {value}")
     check(result)
+    check_solve(solve_result)

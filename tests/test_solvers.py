@@ -17,6 +17,7 @@ from sharedsched.solvers import (
     brute_force,
     equal_weights_value,
     positional_weights,
+    search_backend,
     single_processor_ascending,
     solve_equal_weights,
 )
@@ -370,6 +371,10 @@ def test_pure_kernel_tie_break():
     value, assign, orders = _permsearch.search([4, 4], [1, 1], 2)
     assert assign == (1, 2)
     assert orders == ((0,), (1,))
+
+
+def test_search_backend_is_pure():
+    assert search_backend() == "pure"
 
 
 def test_search_limits_validation():
