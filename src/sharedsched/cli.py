@@ -29,8 +29,8 @@ import sys
 from pathlib import Path
 
 from . import engine
-from .dyadic import ZERO, Dyadic, _make, _quoted
-from .model import Instance, InstanceError, Job, _instance_data, _load_json, _trusted, parse_instance
+from .dyadic import ZERO, Dyadic, _quoted
+from .model import Instance, InstanceError, Job, _instance_data, _load_json, parse_instance
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -114,16 +114,11 @@ def _cmd_solve(args) -> int:
 
     inst = _load_instance(args.instance)
     orders, total = [], ZERO
-    for proc, jobs in enumerate(solvers._deal(inst), start=1):
-        # one walk per processor; an ascending order is feasible, but the check stays
-        _, _, bad, num, e = engine._walk([job.p for job in jobs], [job.w for job in jobs])
-        if bad is not None:
-            raise engine.InfeasibleScheduleError(bad, jobs[bad - 1].id, proc)
-        total = total + _make(num, e)
-        orders.append(tuple([job.id for job in jobs]))
-    # the deal places each job once: the schedule needs no re-validation
-    schedule = _trusted(engine.SyncSchedule, {"sequences": tuple(orders)})
-    _emit({"schedule": engine._schedule_data(schedule), "value": _text(total)})
+    # an ascending order is feasible, but the walks check it as they check any schedule
+    for order, _, _, value in engine._walks(solvers._deal(inst)):
+        orders.append(order)
+        total = total + value
+    _emit({"schedule": engine._schedule_data(orders), "value": _text(total)})
     return EXIT_OK
 
 
@@ -133,7 +128,7 @@ def _cmd_brute(args) -> int:
     inst = _load_instance(args.instance)
     limits = solvers.SearchLimits(max_jobs=args.max_jobs)
     schedule, value = solvers.brute_force(inst, limits)
-    _emit({"schedule": engine._schedule_data(schedule), "value": _text(value)})
+    _emit({"schedule": engine._schedule_data(schedule.sequences), "value": _text(value)})
     return EXIT_OK
 
 
@@ -155,7 +150,7 @@ def _cmd_transform(args) -> int:
     report = transforms.synchronize_detailed(general, inst)
     _emit(
         {
-            "schedule": engine._schedule_data(report.schedule),
+            "schedule": engine._schedule_data(report.schedule.sequences),
             "value_before": _text(report.value_before),
             "value_after": _text(report.value_after),
             "value_delta": _text(report.value_after - report.value_before),

@@ -14,10 +14,14 @@ than silently dropping the job.
 
 This module evaluates schedules through that recurrence, run by one integer
 walk (``_walk``) that also finds the first infeasible position and the
-value, and through an equivalent bilinear matrix form.  It computes the
-exact value change of an adjacent transposition and provides the structural
-predicates (V-shape, processing-time/weight inclusivity, reverse duality)
-used by the solvers and the hardness generator.
+value, and through an equivalent bilinear matrix form.  A schedule's job
+lists, one per processor, go through ``_walks``: the one route that walks
+each list, rejects the first infeasible one and values the rest, for
+``evaluate`` and for the CLI's ``solve``, ``eval`` and ``gantt``.  The
+module also computes the exact value change of an adjacent transposition
+and provides the structural predicates (V-shape, processing-time/weight
+inclusivity, reverse duality) used by the solvers and the hardness
+generator.
 """
 
 from __future__ import annotations
@@ -277,16 +281,25 @@ def evaluate(schedule: SyncSchedule, inst: Instance) -> EvalReport:
     return _evaluate(([inst.job(job_id) for job_id in seq] for seq in schedule.sequences), inst)
 
 
-def _evaluate(orders: Iterable[list[Job]], inst: Instance) -> EvalReport:
-    """The report of ``inst``'s jobs run in ``orders``, one list per processor."""
-    total = ZERO
-    processors = []
+def _walks(orders: Iterable[list[Job]]) -> Iterator[tuple]:
+    """``(order_ids, times, s, value)`` for each processor's job list in
+    ``orders``, walked once by :func:`_walk`.  The first infeasible list
+    raises :class:`InfeasibleScheduleError` naming its processor and
+    position, before it is yielded."""
     for proc_idx, jobs in enumerate(orders, start=1):
         times, s, bad, num, e = _walk([job.p for job in jobs], [job.w for job in jobs])
         if bad is not None:
             raise InfeasibleScheduleError(bad, jobs[bad - 1].id, proc_idx)
-        total = total + _make(num, e)
-        order = tuple([job.id for job in jobs])
+        yield tuple([job.id for job in jobs]), times, s, _make(num, e)
+        del times  # a consumer that drops them (solve) holds no times during the next walk
+
+
+def _evaluate(orders: Iterable[list[Job]], inst: Instance) -> EvalReport:
+    """The report of ``inst``'s jobs run in ``orders``, one list per processor."""
+    total = ZERO
+    processors = []
+    for proc_idx, (order, times, s, value) in enumerate(_walks(orders), start=1):
+        total = total + value
         state = {"id": proc_idx, "order": order, "_times": times, "_scale": s}
         processors.append(_trusted(ProcessorEval, state))
     state = {"processors": tuple(processors), "total": total, "_jobs": inst.jobs}
@@ -470,15 +483,16 @@ def _read_sync_schedule(data, m: int) -> SyncSchedule:
     return SyncSchedule(tuple(sequences))
 
 
-def _schedule_data(schedule: SyncSchedule) -> dict:
-    """The JSON object of a synchronized schedule, before it is dumped."""
+def _schedule_data(sequences: Iterable[Sequence[str]]) -> dict:
+    """The JSON object of a synchronized schedule's job id sequences, before
+    it is dumped."""
     return {
         "processors": [
             {"id": idx, "order": list(seq)}
-            for idx, seq in enumerate(schedule.sequences, start=1)
+            for idx, seq in enumerate(sequences, start=1)
         ]
     }
 
 
 def serialize_sync_schedule(schedule: SyncSchedule) -> str:
-    return json.dumps(_schedule_data(schedule), sort_keys=True)
+    return json.dumps(_schedule_data(schedule.sequences), sort_keys=True)

@@ -636,17 +636,41 @@ def test_eval_and_gantt_look_each_job_up_once(workdir, capsys, monkeypatch, comm
     assert len(lookups) == 200
 
 
+@pytest.mark.parametrize("command", ["solve", "eval", "gantt", "evaluate"])
+def test_every_synchronized_schedule_takes_the_one_walk_route(workdir, capsys, monkeypatch, command):
+    _, write = workdir
+    inst = make_instance([(f"j{i}", i + 1, 1) for i in range(200)], 4)
+    schedule = SyncSchedule([[f"j{i}" for i in range(proc, 200, 4)] for proc in range(4)])
+    inst_path = write("i.json", serialize_instance(inst))
+    sched_path = write("s.json", serialize_sync_schedule(schedule))
+    routes, walks = [], []
+    _counting(monkeypatch, engine, "_walks", routes)
+    _counting(monkeypatch, engine, "_walk", walks)
+    if command == "evaluate":
+        assert evaluate(schedule, inst).total > 0
+    else:
+        argv = [command, inst_path] + ([] if command == "solve" else [sched_path])
+        code, _, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+    # one route for the whole schedule, and one walk per processor
+    assert (len(routes), len(walks)) == (1, 4)
+
+
 def test_solve_reports_an_infeasible_deal_as_evaluate_does(workdir, capsys, monkeypatch):
     # the deal is ascending, so never infeasible; a descending one shows the check stays
     _, write = workdir
     inst = make_instance([("small", 2, 1), ("big", 8, 1)], 2)
     order = [[], [inst.job("big"), inst.job("small")]]
     monkeypatch.setattr(solvers, "_deal", lambda inst: order)
-    code, out, err = run(capsys, "solve", write("i.json", serialize_instance(inst)))
+    inst_path = write("i.json", serialize_instance(inst))
+    code, out, err = run(capsys, "solve", inst_path)
+    schedule = SyncSchedule([[job.id for job in jobs] for jobs in order])
     with pytest.raises(engine.InfeasibleScheduleError) as raised:
-        evaluate(SyncSchedule([[job.id for job in jobs] for jobs in order]), inst)
+        evaluate(schedule, inst)
     assert (code, out, err) == (5, "", f"error: {raised.value}\n")
     assert "processor 2, position 2" in err
+    sched_path = write("s.json", serialize_sync_schedule(schedule))
+    assert run(capsys, "eval", inst_path, sched_path) == (5, "", err)
 
 
 def test_solve_looks_no_job_up_and_builds_no_report(workdir, capsys, monkeypatch):

@@ -69,7 +69,7 @@ def replaced_solve_text(inst) -> str:
     """``solve``'s stdout as the CLI printed it before it printed from the
     deal: the solver's schedule, evaluated through ``evaluate``'s report."""
     schedule = solve_equal_weights(inst)
-    data = {"schedule": _schedule_data(schedule), "value": str(evaluate(schedule, inst).total)}
+    data = {"schedule": _schedule_data(schedule.sequences), "value": str(evaluate(schedule, inst).total)}
     return json.dumps(data, sort_keys=True) + "\n"
 
 
