@@ -228,19 +228,13 @@ def parse_instance(text: bytes | str) -> Instance:
         raise InstanceError('"jobs" must be a list')
     _check_m(data["m"])  # before the jobs, which may take long to parse
     parsed: dict[str, Dyadic] = {}
-    get = parsed.get
     jobs = []
     for idx, entry in enumerate(raw_jobs):
         job_id = _job_id(entry, idx, "p", "w")
         raw_p, raw_w = entry["p"], entry["w"]
         raw_jobs[idx] = None  # the document is ours: free each entry as the jobs grow
-        # a repeated string literal is found here, without a call per value
-        p = get(raw_p) if type(raw_p) is str else None
-        if p is None:
-            p = _literal(raw_p, parsed, "jobs[{}].p", idx)
-        w = get(raw_w) if type(raw_w) is str else None
-        if w is None:
-            w = _literal(raw_w, parsed, "jobs[{}].w", idx)
+        p = _literal(raw_p, parsed, "jobs[{}].p", idx)
+        w = _literal(raw_w, parsed, "jobs[{}].w", idx)
         if not job_id or p.mantissa <= 0 or w.mantissa <= 0:
             Job(job_id, p, w)  # raises the first of its checks that fails
         jobs.append(_trusted(Job, {"id": job_id, "p": p, "w": w}))

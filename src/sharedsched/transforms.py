@@ -17,21 +17,28 @@ shared job finishes on both of its processors at the same instant:
 4. ``reorder``            - adjacent swaps align the shared completion
                             order with the private completion order
                             (value kept),
-5. a push/pull loop       - private/shared completion times are equalized
-                            one job at a time, evicting a job entirely to
-                            its private processor whenever that pays
-                            better (value never decreases).
+5. a push/pull loop       - right to left, each job is pushed until its
+                            private and shared completions meet, or is
+                            evicted entirely to its private processor
+                            whenever that pays better (value never
+                            decreases); it only decides which jobs stay,
+                            and ``from_synchronized`` lays them out.
 
 ``pull`` and ``push`` are the two elementary rebalancing moves; each
 trades work between a job's shared and private processors and ripples a
-geometrically decaying correction through the jobs behind it.
+geometrically decaying correction through the jobs behind it.  The loop
+makes the same moves without rippling them: the synchronized jobs behind
+the current one are the halving walk from its shared completion, so it
+keeps them as a job list and finds where a push empties one of them.
 
 All of it runs on the scaled-integer core: times become integers over one
-power of two, each processor's chunk list stays in start order as moves
-update it, and a halving first refines the whole grid by the digits it
-needs (``compact_idle`` by at most one, before it fills anything).
-``normalize``, ``merge_preemptions`` and ``reorder`` are each one sweep per
-processor.  ``Dyadic`` values are built only where results and messages leave.
+power of two, and each processor's chunk list stays in start order as the
+passes update it.  ``compact_idle`` refines the grid by at most one binary
+digit, before it fills anything, and a public ``pull`` or ``push`` by the
+digits its halvings need; the loop compares integers on the grid the
+passes leave.  ``normalize``, ``merge_preemptions`` and ``reorder`` are
+each one sweep per processor.  ``Dyadic`` values are built only where
+results and messages leave.
 """
 
 from __future__ import annotations
@@ -517,13 +524,13 @@ def reorder(g: GeneralSchedule) -> GeneralSchedule:
 # the full preconditions before delegating.
 
 
-def _ripple(grid: _Grid, chunks: list, i: int, eps: int, sign: int, exp: int = 0) -> None:
-    """Trade ``eps / 2**exp`` of the job at index ``i - 1`` from private to
-    shared time (``sign`` 1, a push) or back (``sign`` -1, a pull), and
-    shift each later job by half the previous amount."""
-    h = max(0, len(chunks) - i + exp - ((eps & -eps).bit_length() - 1))
+def _ripple(grid: _Grid, chunks: list, i: int, eps: int, sign: int) -> None:
+    """Trade ``eps`` of the job at index ``i - 1`` from private to shared
+    time (``sign`` 1, a push) or back (``sign`` -1, a pull), and shift each
+    later job by half the previous amount."""
+    h = max(0, len(chunks) - i - ((eps & -eps).bit_length() - 1))
     grid.shift(h)  # one refinement makes every halving below exact
-    eps = (eps << h) >> exp
+    eps <<= h
     private = grid.private
     prev = chunks[i - 1]
     prev[1] += sign * eps
@@ -656,48 +663,80 @@ class SynchronizeReport(_Record):
         )
 
 
-def _rebalance(grid: _Grid, w: dict, limit: int) -> int:
-    """The push/pull loop; returns its step count."""
+def _rebalance(grid: _Grid, w: dict, m: int, limit: int) -> tuple[int, tuple]:
+    """The push/pull loop: its step count and the job ids that stay on each
+    processor 1..m, in order.  It reads the grid and writes nothing to it.
+
+    Each processor is gap-free from 0 and ordered, and the loop runs right
+    to left over it.  The synchronized jobs behind the current job, which
+    runs ``(a, b)`` with private completion ``c`` and work ``p = b - a + c``,
+    are ``tail``: a synchronized job that starts at ``t`` ends at
+    ``(t + p_j) / 2`` on both processors, so with no idle time the tail is
+    the walk ``T_0 = b``, ``T_{j+1} = (T_j + p_j) / 2`` over its jobs, and
+    its start and job list fix it.  Pushing the current job by ``x / 2``
+    (``b`` up and ``c`` down by that) starts the walk ``x / 2`` later and
+    moves each ``T_j`` by ``x / 2**(j+1)``.  Tail job ``j`` keeps a shared
+    interval while ``p_j > T_j``; its *room*, the ``x`` at which
+    ``p_j == T_j``, is ``2 * ((p_j << j) - b - sum((p_i << i) for i < j))``.
+    That is where rippling the push through the chunks would shrink the
+    job's chunk to nothing and evict it; an emptied job leaves the walk of
+    the others as it was.  So a step pushes ``x = min(c - b, *rooms)``
+    and drops the jobs whose room that is; at ``x == c - b`` the current
+    job is synchronized and joins the tail.  A push is made only when the
+    job's weight is at least the tail's discounted weight (the sum of
+    ``w_j / 2**(j+1)``), so the value never decreases; otherwise the job
+    is evicted whole to its private processor, which gains value, and the
+    walk then starts at ``a``.  Every room is an even integer on the grid
+    the passes leave, and a push that stops short of ``c - b`` is a room,
+    so its half is exact and no step refines the grid.
+
+    Each step synchronizes the current job, or evicts it or at least one
+    tail job for good.  A job is synchronized at most once and evicted at
+    most once, so there are at most ``2 * len(inst)`` steps: the ``limit``
+    that only a loop making no progress would reach.
+    """
     private = grid.private
     steps = 0
-    for chunks in grid.lists():
-        pos = len(chunks) - 1  # jobs past the last unsynchronized one stay synchronized
-        while True:
-            while pos >= 0 and chunks[pos][1] == private[chunks[pos][2]]:
-                pos -= 1
-            if pos < 0:
-                break
-            if steps >= limit:  # the progress argument caps the loop; never expected
-                raise RuntimeError("synchronization failed to make progress")
-            steps += 1
-            a, b, prev_id = chunks[pos]
-            discounted = 0  # sum of w[l] / 2**(l-pos), times 2**(jobs behind pos)
-            for _, _, job_id in chunks[pos + 1 :]:
-                discounted = (discounted << 1) + w[job_id]
-            if w[prev_id] << (len(chunks) - pos - 1) >= discounted:
-                # push half the predecessor's slack, bounded by each later
-                # job's shared length; with no later job this synchronizes it
-                eps = private[prev_id] - b
-                for offset, (a2, b2, _) in enumerate(chunks[pos + 1 :], start=2):
-                    eps = min(eps, (b2 - a2) << offset)
-                _ripple(grid, chunks, pos + 1, eps, 1, exp=1)
+    orders = []
+    for proc in range(1, m + 1):
+        tail: list[tuple[str, int]] = []  # (job id, p) of each synchronized job, front first
+        for a, b, job_id in reversed(grid.chunks.get(proc, [])):
+            c = private[job_id]
+            p = b - a + c
+            while b < c:
+                if steps >= limit:  # the progress argument caps the loop; never expected
+                    raise RuntimeError("synchronization failed to make progress")
+                steps += 1
+                # discounted: the sum of w_j / 2**(j+1), times 2**len(tail);
+                # ahead: b plus p_i << i over the jobs before j
+                discounted, ahead, rooms = 0, b, []
+                for j, (tail_id, tail_p) in enumerate(tail):
+                    discounted = (discounted << 1) + w[tail_id]
+                    rooms.append(2 * ((tail_p << j) - ahead))
+                    ahead += tail_p << j
+                if w[job_id] << len(tail) < discounted:
+                    break  # pushing the job would lose value; evict it instead
+                x = min([c - b, *rooms])
+                tail = [job for job, room in zip(tail, rooms) if room != x]
+                b, c = (b + x // 2, c - x // 2) if x < c - b else (c, c)
             else:
-                # pushing the predecessor would lose value; evict it instead
-                _ripple(grid, chunks, pos + 1, b - a, -1)
-                pos -= 1
-    return steps
+                tail.insert(0, (job_id, p))
+        orders.append(tuple(job_id for job_id, _ in tail))
+    return steps, tuple(orders)
 
 
 def synchronize_detailed(g: GeneralSchedule, inst: Instance) -> SynchronizeReport:
     """Run the full pipeline and report values and the step count.
 
-    After the four canonicalization passes, the rebalancing loop performs
-    at most ``2 * len(inst)`` push/pull steps: each step either
-    synchronizes one more job or permanently evicts a job to its private
-    processor.  Pushing is only applied when the preceding job's weight
-    is at least the discounted weight of the synchronized jobs behind it,
-    so the value never decreases; otherwise the preceding job is evicted
-    by a full-length pull, which strictly gains value.
+    After the four canonicalization passes, the rebalancing loop
+    (:func:`_rebalance`) performs at most ``2 * len(inst)`` push/pull
+    steps: each step either synchronizes one more job or permanently
+    evicts a job to its private processor.  Pushing is only applied when
+    the preceding job's weight is at least the discounted weight of the
+    synchronized jobs behind it, so the value never decreases; otherwise
+    the preceding job is evicted by a full-length pull, which strictly
+    gains value.  The loop decides only which jobs stay where; the
+    intervals of the result come from :func:`from_synchronized`.
     """
     grid = _Grid(g)
     _require(grid, inst)
@@ -707,12 +746,13 @@ def synchronize_detailed(g: GeneralSchedule, inst: Instance) -> SynchronizeRepor
     for name, (run, _) in _PASSES.items():
         run(grid)  # each pass's output meets the next one's entry checks
         pass_values.append((name, _value(grid, weights)))
-    steps = _rebalance(grid, weights[0], 2 * len(inst))
-    _require(grid, inst)
-    value_after = _value(grid, weights)
+    steps, orders = _rebalance(grid, weights[0], inst.m, 2 * len(inst))
+    schedule = SyncSchedule(orders)
+    general = from_synchronized(schedule, inst)
+    value_after = value_general(general, inst)  # and the exit check
     pass_values.append(("rebalance", value_after))
-    schedule, values = SyncSchedule(_orders(grid, inst.m)), tuple(pass_values)
-    return SynchronizeReport(schedule, grid.schedule(), value_before, value_after, steps, values)
+    values = tuple(pass_values)
+    return SynchronizeReport(schedule, general, value_before, value_after, steps, values)
 
 
 def synchronize(g: GeneralSchedule, inst: Instance) -> SyncSchedule:

@@ -18,6 +18,13 @@ on, and two contracts pin what the rewrite bought: the merge's work is
 linear in the chunks, and ``compact_idle`` refines the grid by exactly
 one binary digit when an entry hole has odd length and by none otherwise.
 
+The push/pull loop rippled each step through the chunks behind the job it
+moved until it became a loop over job lists that writes nothing to the
+grid; ``replaced_report`` runs a test-local copy of the rippling loop and
+builds the report from its grid, and every report field must match on
+the corpus, the preempted schedules, a 150-job staircase, staircases that
+empty synchronized jobs and the nested family up to 500 jobs.
+
 The corpus: ``conftest.random_general_schedule``; interleaved schedules
 (idle holes, two chunks per job) and staircases (a push/pull step per
 job, with evictions when weights fall); endpoints with mixed dyadic
@@ -37,8 +44,9 @@ from pathlib import Path
 import pytest
 
 from sharedsched.dyadic import Dyadic
-from sharedsched.engine import evaluate, serialize_sync_schedule
+from sharedsched.engine import SyncSchedule, evaluate, serialize_sync_schedule
 from sharedsched.transforms import (
+    _PASSES,
     GeneralSchedule,
     InvalidScheduleError,
     JobPlacement,
@@ -46,6 +54,10 @@ from sharedsched.transforms import (
     _compact_idle,
     _Grid,
     _merge_preemptions,
+    _orders,
+    _require,
+    _value,
+    _weights,
     compact_idle,
     is_synchronized,
     merge_preemptions,
@@ -59,6 +71,7 @@ from sharedsched.transforms import (
 )
 
 from conftest import frac, make_instance, random_general_schedule, shared_chunks
+from test_rebalance_work import nested
 
 DIGESTS = Path(__file__).parent / "data" / "transforms_digests.json"
 
@@ -108,6 +121,21 @@ def staircase(rng, per_proc, m, w_lo=90):
             private = max(private, cursor) + rng.randint(1, 8)
             weight = rng.randint(w_lo, 100)
             rows.append((f"q{proc}j{idx}", proc, [(start, cursor)], private, weight))
+    return _build(rows, m)
+
+
+def emptying(rng, per_proc, m):
+    """Staircases with two of every three jobs synchronized already and
+    chunks of 1, 2 or 20 to 40: pushing a job with long slack can empty a
+    short synchronized job behind it first, so the job takes more than one
+    step."""
+    rows = []
+    for proc in range(1, m + 1):
+        cursor = private = 0
+        for idx in range(per_proc):
+            start, cursor = cursor, cursor + rng.choice([1, 2, rng.randint(20, 40)])
+            private = max(private, cursor) + (0 if idx % 3 else rng.randint(1, 40))
+            rows.append((f"e{proc}j{idx}", proc, [(start, cursor)], private, rng.randint(50, 100)))
     return _build(rows, m)
 
 
@@ -433,7 +461,7 @@ def preempted(rng):
         for job_id in ids:
             private = spans[job_id][-1][1] + Dyadic(rng.randint(0, 5), rng.randint(0, top))
             rows.append((job_id, proc, spans[job_id], private, rng.randint(1, 9)))
-    return _build(rows, m)[0]
+    return _build(rows, m)
 
 
 def odd_hole_on_processor_2():
@@ -452,7 +480,8 @@ def state(grid):
     return grid.chunks, grid.private, grid.scale
 
 
-PREEMPTED = [preempted(random.Random(seed)) for seed in range(400)]
+PREEMPTED_CASES = [preempted(random.Random(seed)) for seed in range(400)]
+PREEMPTED = [g for g, _ in PREEMPTED_CASES]
 NORMAL = PREEMPTED + [normalize(g) for _, g, _ in CORPUS] + [odd_hole_on_processor_2()[0]]
 
 
@@ -528,6 +557,102 @@ def merge_line_events(n):
 def test_merge_work_is_linear_in_the_chunks():
     # a ratio, not a count: Python 3.12 traces the comprehension's lines here too
     assert merge_line_events(1000) <= 2 * merge_line_events(500) + 64
+
+
+# -- the push/pull loop against the one it replaced --------------------------------
+
+
+def replaced_ripple(grid, chunks, i, eps, sign, exp=0):
+    h = max(0, len(chunks) - i + exp - ((eps & -eps).bit_length() - 1))
+    grid.shift(h)
+    eps = (eps << h) >> exp
+    private = grid.private
+    prev = chunks[i - 1]
+    prev[1] += sign * eps
+    private[prev[2]] -= sign * eps
+    end = prev[1]
+    kept = [prev] if prev[0] < prev[1] else []
+    for chunk in chunks[i:]:
+        eps >>= 1
+        new_end = chunk[1] + sign * eps
+        private[chunk[2]] += sign * eps
+        if end < new_end:
+            chunk[0], chunk[1] = end, new_end
+            kept.append(chunk)
+        end = new_end
+    chunks[i - 1 :] = kept
+
+
+def replaced_rebalance(grid, w, limit):
+    """The loop that rippled every step through the chunks behind it."""
+    private = grid.private
+    steps = 0
+    for chunks in grid.lists():
+        pos = len(chunks) - 1
+        while True:
+            while pos >= 0 and chunks[pos][1] == private[chunks[pos][2]]:
+                pos -= 1
+            if pos < 0:
+                break
+            if steps >= limit:
+                raise RuntimeError("synchronization failed to make progress")
+            steps += 1
+            a, b, prev_id = chunks[pos]
+            discounted = 0
+            for _, _, job_id in chunks[pos + 1 :]:
+                discounted = (discounted << 1) + w[job_id]
+            if w[prev_id] << (len(chunks) - pos - 1) >= discounted:
+                eps = private[prev_id] - b
+                for offset, (a2, b2, _) in enumerate(chunks[pos + 1 :], start=2):
+                    eps = min(eps, (b2 - a2) << offset)
+                replaced_ripple(grid, chunks, pos + 1, eps, 1, exp=1)
+            else:
+                replaced_ripple(grid, chunks, pos + 1, b - a, -1)
+                pos -= 1
+    return steps
+
+
+def replaced_report(g, inst):
+    """``synchronize_detailed``'s fields, with the replaced loop rewriting the grid."""
+    grid = _Grid(g)
+    _require(grid, inst)
+    weights = _weights(grid, inst)
+    value_before = _value(grid, weights)
+    pass_values = []
+    for name, (run, _) in _PASSES.items():
+        run(grid)
+        pass_values.append((name, _value(grid, weights)))
+    steps = replaced_rebalance(grid, weights[0], 2 * len(inst))
+    _require(grid, inst)
+    value_after = _value(grid, weights)
+    pass_values.append(("rebalance", value_after))
+    general = serialize_general_schedule(grid.schedule())
+    schedule = SyncSchedule(_orders(grid, inst.m))
+    return schedule, general, value_before, value_after, steps, tuple(pass_values)
+
+
+def report_fields(g, inst):
+    r = synchronize_detailed(g, inst)
+    general = serialize_general_schedule(r.general)
+    return r.schedule, general, r.value_before, r.value_after, r.rebalance_steps, r.pass_values
+
+
+REBALANCED = list(CORPUS)
+REBALANCED.append(("staircase-150x2", *staircase(random.Random(150), 150, 2)))
+REBALANCED += [(f"emptying-{seed}", *emptying(random.Random(seed), 30, 2)) for seed in range(10)]
+REBALANCED += [(f"nested-{n}", *nested(n)) for n in (10, 100, 500)]
+
+
+# no grid is left to compare scales on: the loop writes none, and every field is canonical
+@pytest.mark.parametrize("name,g,inst", REBALANCED, ids=[case[0] for case in REBALANCED])
+def test_rebalance_matches_the_replaced_loop(name, g, inst):
+    assert report_fields(g, inst) == replaced_report(g, inst)
+
+
+@pytest.mark.parametrize("group", range(4))
+def test_rebalance_matches_the_replaced_loop_on_preempted_schedules(group):
+    for g, inst in PREEMPTED_CASES[group::4]:
+        assert report_fields(g, inst) == replaced_report(g, inst)
 
 
 if __name__ == "__main__":
