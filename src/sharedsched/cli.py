@@ -15,8 +15,10 @@ Exit codes are stable: 0 ok, 2 parse/validation error, 3 wrong solver
 for the instance, 4 size limit exceeded (including a literal whose
 exponent is above the parser's bound, a value too long to print in
 decimal and a ``gantt --width`` above ``_MAX_WIDTH``), 5 infeasible or
-invalid schedule.  All numeric output is exact dyadic strings; identical
-inputs produce byte-identical output.
+invalid schedule, 141 stdout closed by its reader before the output
+ended (128 + SIGPIPE, as a shell reports a piped tool), with no
+traceback.  All numeric output is exact dyadic strings; identical inputs
+produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import sys
 from pathlib import Path
 
 from . import engine
-from .dyadic import ZERO, Dyadic, _quoted
+from .dyadic import ZERO, _make, _quoted
 from .model import Instance, InstanceError, Job, _instance_data, _load_json, parse_instance
 
 EXIT_OK = 0
@@ -37,6 +39,7 @@ EXIT_PARSE = 2
 EXIT_WRONG_SOLVER = 3
 EXIT_TOO_LARGE = 4
 EXIT_INFEASIBLE = 5
+EXIT_BROKEN_PIPE = 141
 
 _PROPERTIES = ("v-shape", "ordered", "synchronized", "inclusive")
 
@@ -247,41 +250,29 @@ def _cmd_decide_n3dm(args) -> int:
     return EXIT_OK
 
 
-def _bar_column(t: Dyadic, horizon: Dyadic, width: int) -> int:
-    # floor(t * width / horizon) in exact integer arithmetic
-    num = (t.mantissa << horizon.exponent) * width
-    den = horizon.mantissa << t.exponent
-    return num // den
-
-
 def _cmd_gantt(args) -> int:
     width = args.width
     if width > _MAX_WIDTH:
         raise OutputTooLargeError(f"--width {width} exceeds the limit of {_MAX_WIDTH} columns")
     inst = _load_instance(args.instance)
-    report = _sync_report(args.schedule, inst)
-    private_end = {job.id: job.p for job in inst.jobs}
-    for proc in report.processors:
-        # synchronized: a shared job's private span ends with its shared one
-        private_end.update(zip(proc.order, proc.start_times[1:]))
-    horizon = max(private_end.values(), default=Dyadic(0))
-    print(f"time 0..{_text(horizon)}  ({width} columns)")  # the one value that may not print
-    labels = [f"M{proc.id}" for proc in report.processors]
-    labels += [f"P {job.id}" for job in inst.jobs]
-    pad = max((len(label) for label in labels), default=0)
-    for proc in report.processors:
+    scale, chunks, private = engine._layout(_sync_report(args.schedule, inst))
+    horizon = max(private.values(), default=0)
+    # the one value that may not print
+    print(f"time 0..{_text(_make(horizon, scale))}  ({width} columns)")
+    labels = [f"M{proc}" for proc in range(1, inst.m + 1)] + [f"P {job.id}" for job in inst.jobs]
+    pad = max(len(label) for label in labels)
+    for proc in range(1, inst.m + 1):
         cells = [" "] * width
-        for start, end, job_id in zip(proc.start_times, proc.start_times[1:], proc.order):
-            lo = _bar_column(start, horizon, width)
-            hi = max(_bar_column(end, horizon, width), lo + 1)
-            hi = min(hi, width)
+        for start, end, job_id in chunks.get(proc, ()):
+            # a column is floor(t * width / horizon), exact on the layout's one scale
+            lo = start * width // horizon
+            hi = min(max(end * width // horizon, lo + 1), width)
             fill = (job_id * ((hi - lo) // len(job_id) + 1))[: hi - lo]
             cells[lo:hi] = list(fill)
-        print(f"{f'M{proc.id}'.ljust(pad)} |{''.join(cells)}|")
+        print(f"{f'M{proc}'.ljust(pad)} |{''.join(cells)}|")
     for job in inst.jobs:
         cells = [" "] * width
-        hi = max(_bar_column(private_end[job.id], horizon, width), 1)
-        hi = min(hi, width)
+        hi = min(max(private[job.id] * width // horizon, 1), width)
         cells[0:hi] = ["="] * hi
         print(f"{f'P {job.id}'.ljust(pad)} |{''.join(cells)}|")
     return EXIT_OK
@@ -382,7 +373,14 @@ def _exit_code(exc: Exception) -> int | None:
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe shows here, not at the interpreter's exit
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes to devnull, so
+        # that the interpreter's flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except Exception as exc:
         code = _exit_code(exc)
         if code is None:

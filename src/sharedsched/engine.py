@@ -18,10 +18,13 @@ value, and through an equivalent bilinear matrix form.  A schedule's job
 lists, one per processor, go through ``_walks``: the one route that walks
 each list, rejects the first infeasible one and values the rest, for
 ``evaluate`` and for the CLI's ``solve``, ``eval`` and ``gantt``.  The
-module also computes the exact value change of an adjacent transposition
-and provides the structural predicates (V-shape, processing-time/weight
-inclusivity, reverse duality) used by the solvers and the hardness
-generator.
+intervals of a schedule that ``evaluate`` walked go through ``_layout``:
+the one route that puts every processor's walk and each job's private
+completion on one integer scale, for ``transforms.from_synchronized``,
+``synchronize``'s exit check and ``gantt``.  The module also computes the
+exact value change of an adjacent transposition and provides the
+structural predicates (V-shape, processing-time/weight inclusivity,
+reverse duality) used by the solvers and the hardness generator.
 """
 
 from __future__ import annotations
@@ -304,6 +307,25 @@ def _evaluate(orders: Iterable[list[Job]], inst: Instance) -> EvalReport:
         processors.append(_trusted(ProcessorEval, state))
     state = {"processors": tuple(processors), "total": total, "_jobs": inst.jobs}
     return _trusted(EvalReport, state)
+
+
+def _layout(report: EvalReport) -> tuple[int, dict[int, list], dict[str, int]]:
+    """The intervals of a report that :func:`evaluate` built, on one scale:
+    ``(scale, chunks, private)`` with every time an int over ``2**scale``.
+    ``chunks`` maps the id of each processor that runs a job to its
+    ``[start, end, job_id]`` lists in order, as a grid of ``transforms``
+    keeps them; ``private`` maps each job, in instance order, to its private
+    completion: a shared job's ends with its shared interval, and a job on
+    no processor runs ``p`` privately."""
+    procs, jobs = report.processors, report._jobs
+    scale = max([proc._scale for proc in procs] + [job.p.exponent for job in jobs])
+    chunks = {}
+    for proc in [proc for proc in procs if proc.order]:
+        times, h = proc._times, scale - proc._scale
+        chunks[proc.id] = [[a << h, b << h, j] for a, b, j in zip(times, times[1:], proc.order)]
+    private = {job.id: job.p.mantissa << (scale - job.p.exponent) for job in jobs}
+    private.update((job_id, b) for laid in chunks.values() for _, b, job_id in laid)
+    return scale, chunks, private
 
 
 def lower_halving_matrix(k: int) -> tuple[tuple[Dyadic, ...], ...]:

@@ -22,7 +22,7 @@ shared job finishes on both of its processors at the same instant:
                             evicted entirely to its private processor
                             whenever that pays better (value never
                             decreases); it only decides which jobs stay,
-                            and ``from_synchronized`` lays them out.
+                            and ``engine._layout`` lays them out.
 
 ``pull`` and ``push`` are the two elementary rebalancing moves; each
 trades work between a job's shared and private processors and ripples a
@@ -37,8 +37,11 @@ passes update it.  ``compact_idle`` refines the grid by at most one binary
 digit, before it fills anything, and a public ``pull`` or ``push`` by the
 digits its halvings need; the loop compares integers on the grid the
 passes leave.  ``normalize``, ``merge_preemptions`` and ``reorder`` are
-each one sweep per processor.  ``Dyadic`` values are built only where
-results and messages leave.
+each one sweep per processor.  A synchronized schedule's grid comes from
+``engine._layout``, which puts the walk of each processor on one scale:
+``from_synchronized`` returns it as a general schedule, and
+``synchronize`` runs its exit check and values its result on it.
+``Dyadic`` values are built only where results and messages leave.
 """
 
 from __future__ import annotations
@@ -48,7 +51,7 @@ import math
 from typing import Mapping
 
 from .dyadic import Dyadic, _clear_denominators, _make, _quoted, as_dyadic
-from .engine import SyncSchedule, evaluate
+from .engine import SyncSchedule, _layout, evaluate
 from .model import Instance, InstanceError, _job_id, _literal, _load_json, _Record, _trusted
 
 __all__ = [
@@ -736,7 +739,9 @@ def synchronize_detailed(g: GeneralSchedule, inst: Instance) -> SynchronizeRepor
     synchronized jobs behind it, so the value never decreases; otherwise
     the preceding job is evicted by a full-length pull, which strictly
     gains value.  The loop decides only which jobs stay where; the
-    intervals of the result come from :func:`from_synchronized`.
+    result is walked once and laid out on one integer grid by
+    ``engine._layout``, and the exit check, the final value and the
+    general schedule all read that grid.
     """
     grid = _Grid(g)
     _require(grid, inst)
@@ -748,11 +753,12 @@ def synchronize_detailed(g: GeneralSchedule, inst: Instance) -> SynchronizeRepor
         pass_values.append((name, _value(grid, weights)))
     steps, orders = _rebalance(grid, weights[0], inst.m, 2 * len(inst))
     schedule = SyncSchedule(orders)
-    general = from_synchronized(schedule, inst)
-    value_after = value_general(general, inst)  # and the exit check
+    grid = _laid_out(schedule, inst)
+    _require(grid, inst)  # the exit check
+    value_after = _value(grid, weights)
     pass_values.append(("rebalance", value_after))
     values = tuple(pass_values)
-    return SynchronizeReport(schedule, general, value_before, value_after, steps, values)
+    return SynchronizeReport(schedule, grid.schedule(), value_before, value_after, steps, values)
 
 
 def synchronize(g: GeneralSchedule, inst: Instance) -> SyncSchedule:
@@ -761,18 +767,20 @@ def synchronize(g: GeneralSchedule, inst: Instance) -> SyncSchedule:
     return synchronize_detailed(g, inst).schedule
 
 
+def _laid_out(schedule: SyncSchedule, inst: Instance) -> _Grid:
+    """The grid of a synchronized schedule, as :func:`engine._layout` lays out
+    its evaluation."""
+    grid = object.__new__(_Grid)
+    grid.scale, grid.chunks, grid.private = _layout(evaluate(schedule, inst))
+    grid.procs = dict.fromkeys(grid.private)
+    grid.procs.update((job_id, p) for p, chunks in grid.chunks.items() for *_, job_id in chunks)
+    return grid
+
+
 def from_synchronized(schedule: SyncSchedule, inst: Instance) -> GeneralSchedule:
-    """Expand per-processor job orders into explicit intervals."""
-    report = evaluate(schedule, inst)
-    placements = {}
-    for proc in report.processors:
-        t = proc.start_times
-        for idx, job_id in enumerate(proc.order):
-            placements[job_id] = JobPlacement(proc.id, ((t[idx], t[idx + 1]),), t[idx + 1])
-    for job in inst.jobs:
-        if job.id not in placements:
-            placements[job.id] = JobPlacement(None, (), job.p)
-    return GeneralSchedule(placements)
+    """Expand per-processor job orders into explicit intervals; the
+    placements come in instance order."""
+    return _laid_out(schedule, inst).schedule()
 
 
 # -- JSON wire format ---------------------------------------------------------

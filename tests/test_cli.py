@@ -643,17 +643,22 @@ def test_every_synchronized_schedule_takes_the_one_walk_route(workdir, capsys, m
     schedule = SyncSchedule([[f"j{i}" for i in range(proc, 200, 4)] for proc in range(4)])
     inst_path = write("i.json", serialize_instance(inst))
     sched_path = write("s.json", serialize_sync_schedule(schedule))
-    routes, walks = [], []
+    routes, walks, starts = [], [], []
     _counting(monkeypatch, engine, "_walks", routes)
     _counting(monkeypatch, engine, "_walk", walks)
+    # each processor here is one evaluate built, so no stored field shadows the property
+    start_times = engine.ProcessorEval.start_times.func
+    read = property(lambda proc: starts.append(proc) or start_times(proc))
+    monkeypatch.setattr(engine.ProcessorEval, "start_times", read)
     if command == "evaluate":
         assert evaluate(schedule, inst).total > 0
     else:
         argv = [command, inst_path] + ([] if command == "solve" else [sched_path])
         code, _, err = run(capsys, *argv)
         assert (code, err) == (0, "")
-    # one route for the whole schedule, and one walk per processor
-    assert (len(routes), len(walks)) == (1, 4)
+    # one route for the whole schedule, and one walk per processor; eval and gantt
+    # read the walk's integers, gantt through engine._layout, and no Dyadic start times
+    assert (len(routes), len(walks), len(starts)) == (1, 4, 0)
 
 
 def test_solve_reports_an_infeasible_deal_as_evaluate_does(workdir, capsys, monkeypatch):
@@ -955,6 +960,31 @@ def _run_capped(*argv) -> subprocess.CompletedProcess:
         timeout=60,
         preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)),
     )
+
+
+@pytest.mark.parametrize("command", ["eval", "gantt"])
+def test_closed_stdout_exits_141_without_a_traceback(workdir, command):
+    # 4,000 jobs print far more than a pipe holds, so the writes after the
+    # reader closes its end fail
+    _, write = workdir
+    inst = make_instance([(f"j{i}", i % 97 + 1, 3) for i in range(4_000)], 8)
+    ascending = [f"j{i}" for i in sorted(range(4_000), key=lambda i: i % 97)]
+    schedule = SyncSchedule([ascending[proc::8] for proc in range(8)])
+    argv = [write("i.json", serialize_instance(inst)), write("s.json", serialize_sync_schedule(schedule))]
+    argv += ["--width", "200"] if command == "gantt" else []
+    env = dict(os.environ, PYTHONPATH=str(Path(sharedsched.__file__).parents[1]))
+    with subprocess.Popen(
+        [sys.executable, "-m", "sharedsched.cli", command, *argv],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    ) as child:
+        assert len(child.stdout.read(1024)) == 1024
+        child.stdout.close()
+        err = child.stderr.read().decode()
+        code = child.wait(timeout=60)
+    assert (code, err) == (cli.EXIT_BROKEN_PIPE, "")
+    assert cli.EXIT_BROKEN_PIPE == 141
 
 
 def test_exponent_past_bound_exits_4_fast(workdir):

@@ -1,16 +1,24 @@
-"""The work of ``synchronize_detailed``'s push/pull loop, counted.
+"""The work of ``synchronize_detailed``'s push/pull loop and of its
+boundaries, counted.
 
 The loop (``transforms._rebalance``) only decides which jobs stay on
 each processor: it keeps each processor's synchronized tail as a job
 list, compares integers on the grid the four passes leave, and writes
-nothing back.  ``from_synchronized`` then lays the result out through
-``engine._walks``, the one route for a synchronized schedule's times.  So
-one ``synchronize_detailed`` call, on a staircase (one step per job) and
-on the nested family below (one push per job), makes:
+nothing back.  The result is walked once through ``engine._walks``, the
+one route for a synchronized schedule's times, and ``engine._layout``
+puts that walk on one integer grid: the exit check, the final value and
+the general schedule all read that grid.  So one ``synchronize_detailed``
+call, on a staircase (one step per job) and on the nested family below
+(one push per job), makes:
 
 * at most one ``_Grid.shift`` call, the one ``compact_idle`` makes;
 * no ``_ripple`` call;
-* exactly one ``engine._walks`` call.
+* exactly one ``engine._walks`` call;
+* no ``JobPlacement.__init__`` call: the result's placements are built
+  from the grid by the trusted constructor;
+* exactly two ``_violations`` calls, each on an integer grid: the entry
+  check and the exit check;
+* no ``value_general`` call.
 
 Each step still scans the tail once, so the loop's work stays quadratic
 in the jobs of a processor on the nested family.  The module imports
@@ -77,14 +85,26 @@ def counting(owner, name: str):
 
 
 def calls(g: GeneralSchedule, inst: Instance) -> dict[str, int]:
-    """The calls one ``synchronize_detailed`` makes to each counted function."""
+    """The calls one ``synchronize_detailed`` makes to each counted function;
+    ``_violations on grids`` counts the calls whose argument is a ``_Grid``."""
     with (
         counting(transforms._Grid, "shift") as shifts,
         counting(transforms, "_ripple") as ripples,
         counting(engine, "_walks") as walks,
+        counting(JobPlacement, "__init__") as placements,
+        counting(transforms, "_violations") as checks,
+        counting(transforms, "value_general") as values,
     ):
         synchronize_detailed(g, inst)
-    return {"_Grid.shift": len(shifts), "_ripple": len(ripples), "engine._walks": len(walks)}
+    return {
+        "_Grid.shift": len(shifts),
+        "_ripple": len(ripples),
+        "engine._walks": len(walks),
+        "JobPlacement.__init__": len(placements),
+        "_violations": len(checks),
+        "_violations on grids": sum(isinstance(grid, transforms._Grid) for grid in checks),
+        "value_general": len(values),
+    }
 
 
 def line_events(g: GeneralSchedule, inst: Instance) -> int:
@@ -111,6 +131,8 @@ def line_events(g: GeneralSchedule, inst: Instance) -> int:
 def check(counts: dict[str, int]) -> None:
     assert counts["_Grid.shift"] <= 1 and counts["_ripple"] == 0, counts
     assert counts["engine._walks"] == 1, counts
+    assert counts["JobPlacement.__init__"] == 0 and counts["value_general"] == 0, counts
+    assert counts["_violations"] == counts["_violations on grids"] == 2, counts
 
 
 def test_staircase_makes_one_walk_and_no_ripple():
