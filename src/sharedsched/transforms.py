@@ -33,15 +33,18 @@ keeps them as a job list and finds where a push empties one of them.
 
 All of it runs on the scaled-integer core: times become integers over one
 power of two, and each processor's chunk list stays in start order as the
-passes update it.  ``compact_idle`` refines the grid by at most one binary
-digit, before it fills anything, and a public ``pull`` or ``push`` by the
-digits its halvings need; the loop compares integers on the grid the
-passes leave.  ``normalize``, ``merge_preemptions`` and ``reorder`` are
-each one sweep per processor.  A synchronized schedule's grid comes from
+passes update it.  ``_gaps`` reads every hole in such a list, except the
+ones ``compact_idle``'s fills search for as they change it.
+``compact_idle`` refines the grid by at most one binary digit, before it
+fills anything, and a public ``pull`` or ``push`` by the digits its
+halvings need; the loop compares integers on the grid the passes leave.
+``normalize``, ``merge_preemptions`` and ``reorder`` are each one sweep
+per processor.  A synchronized schedule's grid comes from
 ``engine._layout``, which puts the walk of each processor on one scale:
 ``from_synchronized`` returns it as a general schedule, and
-``synchronize`` runs its exit check and values its result on it.
-``Dyadic`` values are built only where results and messages leave.
+``synchronize`` runs its exit check on it and takes its final value from
+the walk's total.  ``Dyadic`` values are built only where results and
+messages leave.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import math
 from typing import Mapping
 
 from .dyadic import Dyadic, _clear_denominators, _make, _quoted, as_dyadic
-from .engine import SyncSchedule, _layout, evaluate
+from .engine import EvalReport, SyncSchedule, _layout, evaluate
 from .model import Instance, InstanceError, _job_id, _literal, _load_json, _Record, _trusted
 
 __all__ = [
@@ -88,8 +91,11 @@ _SHOWN = 20
 class InvalidScheduleError(ValueError):
     """A general schedule violating its structural invariants.
 
-    ``violations`` holds every one; the message lists the first ``_SHOWN``
-    and the number of the rest, so that it stays short however many there are.
+    ``violations`` holds every one, and reports each overlapping pair once:
+    two intervals of one job under that job, and two adjacent chunks of
+    different jobs under their processor.  The message lists the first
+    ``_SHOWN`` and the number of the rest, so that it stays short however
+    many there are.
     """
 
     def __init__(self, violations):
@@ -210,6 +216,12 @@ def _value(grid: _Grid, weights: tuple[dict, int]) -> Dyadic:
     return _make(total, grid.scale + exponent)
 
 
+def _gaps(chunks: list) -> list[int]:
+    """The idle time before each chunk of one processor: its start minus the
+    previous chunk's end, or minus 0 for the first (negative where they overlap)."""
+    return [b[0] - a[1] for a, b in zip([[0, 0]] + chunks, chunks)]
+
+
 def _last_ends(grid: _Grid) -> dict[str, int]:
     """Each job's shared completion: the end of its last chunk."""
     return {job_id: b for chunks in grid.chunks.values() for _, b, job_id in chunks}
@@ -290,7 +302,7 @@ def _violations(grid: _Grid, inst: Instance | None = None) -> list[str]:
     for proc in sorted(p for p in grid.chunks if p is not None):
         chunks = grid.chunks[proc]
         for (a1, b1, j1), (a2, b2, j2) in zip(chunks, chunks[1:]):
-            if a2 < b1:
+            if a2 < b1 and j1 != j2:  # a job's own overlap is reported with the job
                 out.append(
                     f"processor {proc}: jobs {_quoted(j1)} and {_quoted(j2)} overlap in "
                     f"({t(a2)}, {t(min(b1, b2))})"
@@ -336,13 +348,7 @@ def is_normal(g: GeneralSchedule) -> bool:
 
 def is_gap_free(g: GeneralSchedule) -> bool:
     """No idle time on any shared processor before its last completion."""
-    for chunks in _Grid(g).lists():
-        cursor = 0
-        for a, b, _ in chunks:
-            if a != cursor:
-                return False
-            cursor = b
-    return True
+    return not any(any(_gaps(chunks)) for chunks in _Grid(g).lists())
 
 
 def is_non_preemptive(g: GeneralSchedule) -> bool:
@@ -405,8 +411,7 @@ def _compact_idle(grid: _Grid) -> None:
     # moves the last chunk's end, which no hole follows: once every hole on the
     # entry grid is even, every fill is exact.  One binary digit makes them even,
     # and doubling every time commutes with the fills, so it can come first
-    gaps = [b[0] - a[1] for chunks in grid.lists() for a, b in zip([[0, 0]] + chunks, chunks)]
-    grid.shift(any(gap & 1 for gap in gaps))
+    grid.shift(any(gap & 1 for chunks in grid.lists() for gap in _gaps(chunks)))
     private = grid.private
     for chunks in grid.lists():
         t = len(chunks) - 1
@@ -454,10 +459,10 @@ def _reorder(grid: _Grid) -> None:
     # stable sort by private completion, so lay that order out directly
     private = grid.private
     for chunks in grid.lists():
-        laid: list[list] = []
-        for t, (a, b, job_id) in enumerate(sorted(chunks, key=lambda c: private[c[2]])):
-            start = chunks[0][0] if t == 0 else laid[-1][1] + chunks[t][0] - chunks[t - 1][1]
-            laid.append([start, start + b - a, job_id])
+        laid, end = [], 0
+        for gap, (a, b, job_id) in zip(_gaps(chunks), sorted(chunks, key=lambda c: private[c[2]])):
+            start, end = end + gap, end + gap + b - a
+            laid.append([start, end, job_id])
         chunks[:] = laid
 
 
@@ -557,8 +562,8 @@ def _move_args(grid: _Grid, name: str, proc: int, i: int, eps: Dyadic) -> tuple[
     chunks = grid.chunks.get(proc, [])
     if not 2 <= i <= len(chunks):
         raise PreconditionError(f"{name} position {i} out of range 2..{len(chunks)}")
-    for (_, end, _), (start, _, job_id) in zip(chunks[i - 2 :], chunks[i - 1 :]):
-        if start != end:
+    for gap, (_, _, job_id) in zip(_gaps(chunks)[i - 1 :], chunks[i - 1 :]):
+        if gap:
             raise PreconditionError(
                 f"processor {proc}: idle time before job {_quoted(job_id)}; "
                 "the move's exact value accounting needs a contiguous span"
@@ -739,9 +744,9 @@ def synchronize_detailed(g: GeneralSchedule, inst: Instance) -> SynchronizeRepor
     synchronized jobs behind it, so the value never decreases; otherwise
     the preceding job is evicted by a full-length pull, which strictly
     gains value.  The loop decides only which jobs stay where; the
-    result is walked once and laid out on one integer grid by
-    ``engine._layout``, and the exit check, the final value and the
-    general schedule all read that grid.
+    result is walked once, and that walk's total is the final value.
+    ``engine._layout`` lays the walk out on one integer grid, which the
+    exit check and the general schedule read.
     """
     grid = _Grid(g)
     _require(grid, inst)
@@ -753,12 +758,12 @@ def synchronize_detailed(g: GeneralSchedule, inst: Instance) -> SynchronizeRepor
         pass_values.append((name, _value(grid, weights)))
     steps, orders = _rebalance(grid, weights[0], inst.m, 2 * len(inst))
     schedule = SyncSchedule(orders)
-    grid = _laid_out(schedule, inst)
+    report = evaluate(schedule, inst)
+    grid = _laid_out(report)
     _require(grid, inst)  # the exit check
-    value_after = _value(grid, weights)
-    pass_values.append(("rebalance", value_after))
+    pass_values.append(("rebalance", report.total))
     values = tuple(pass_values)
-    return SynchronizeReport(schedule, grid.schedule(), value_before, value_after, steps, values)
+    return SynchronizeReport(schedule, grid.schedule(), value_before, report.total, steps, values)
 
 
 def synchronize(g: GeneralSchedule, inst: Instance) -> SyncSchedule:
@@ -767,11 +772,11 @@ def synchronize(g: GeneralSchedule, inst: Instance) -> SyncSchedule:
     return synchronize_detailed(g, inst).schedule
 
 
-def _laid_out(schedule: SyncSchedule, inst: Instance) -> _Grid:
+def _laid_out(report: EvalReport) -> _Grid:
     """The grid of a synchronized schedule, as :func:`engine._layout` lays out
-    its evaluation."""
+    the report :func:`evaluate` built of it."""
     grid = object.__new__(_Grid)
-    grid.scale, grid.chunks, grid.private = _layout(evaluate(schedule, inst))
+    grid.scale, grid.chunks, grid.private = _layout(report)
     grid.procs = dict.fromkeys(grid.private)
     grid.procs.update((job_id, p) for p, chunks in grid.chunks.items() for *_, job_id in chunks)
     return grid
@@ -780,7 +785,7 @@ def _laid_out(schedule: SyncSchedule, inst: Instance) -> _Grid:
 def from_synchronized(schedule: SyncSchedule, inst: Instance) -> GeneralSchedule:
     """Expand per-processor job orders into explicit intervals; the
     placements come in instance order."""
-    return _laid_out(schedule, inst).schedule()
+    return _laid_out(evaluate(schedule, inst)).schedule()
 
 
 # -- JSON wire format ---------------------------------------------------------

@@ -6,10 +6,10 @@ each processor: it keeps each processor's synchronized tail as a job
 list, compares integers on the grid the four passes leave, and writes
 nothing back.  The result is walked once through ``engine._walks``, the
 one route for a synchronized schedule's times, and ``engine._layout``
-puts that walk on one integer grid: the exit check, the final value and
-the general schedule all read that grid.  So one ``synchronize_detailed``
-call, on a staircase (one step per job) and on the nested family below
-(one push per job), makes:
+puts that walk on one integer grid: the exit check and the general
+schedule read that grid, and the final value is the walk's total.  So one
+``synchronize_detailed`` call, on a staircase (one step per job) and on
+the nested family below (one push per job), makes:
 
 * at most one ``_Grid.shift`` call, the one ``compact_idle`` makes;
 * no ``_ripple`` call;
@@ -18,7 +18,9 @@ call, on a staircase (one step per job) and on the nested family below
   from the grid by the trusted constructor;
 * exactly two ``_violations`` calls, each on an integer grid: the entry
   check and the exit check;
-* no ``value_general`` call.
+* no ``value_general`` call;
+* exactly five ``transforms._value`` calls: the value before the passes
+  and the value after each of the four; none values the result.
 
 Each step still scans the tail once, so the loop's work stays quadratic
 in the jobs of a processor on the nested family.  The module imports
@@ -94,6 +96,7 @@ def calls(g: GeneralSchedule, inst: Instance) -> dict[str, int]:
         counting(JobPlacement, "__init__") as placements,
         counting(transforms, "_violations") as checks,
         counting(transforms, "value_general") as values,
+        counting(transforms, "_value") as grid_values,
     ):
         synchronize_detailed(g, inst)
     return {
@@ -104,6 +107,7 @@ def calls(g: GeneralSchedule, inst: Instance) -> dict[str, int]:
         "_violations": len(checks),
         "_violations on grids": sum(isinstance(grid, transforms._Grid) for grid in checks),
         "value_general": len(values),
+        "transforms._value": len(grid_values),
     }
 
 
@@ -133,6 +137,7 @@ def check(counts: dict[str, int]) -> None:
     assert counts["engine._walks"] == 1, counts
     assert counts["JobPlacement.__init__"] == 0 and counts["value_general"] == 0, counts
     assert counts["_violations"] == counts["_violations on grids"] == 2, counts
+    assert counts["transforms._value"] == 5, counts
 
 
 def test_staircase_makes_one_walk_and_no_ripple():
