@@ -189,14 +189,15 @@ def _report_chunks(report: EvalReport) -> Iterator[str]:
     processor's start times are converted only for its own chunk.
     """
     dens: dict[int, str] = {}
-    # a number below 2**bits has at most the limit's decimal digits; 0 is no limit
-    bits = sys.get_int_max_str_digits() * 3.32 or float("inf")
+    # a number of fewer bits than 10**limit has at most the limit's digits; 0 is no limit
+    limit = sys.get_int_max_str_digits()
+    bits = limit and (10**limit).bit_length()
     overlap = {}  # job id -> its overlap text; a job on no processor reads "0"
     for proc in report.processors:
         times, s = proc._times, proc._scale
         overlap.update(zip(proc.order, [_text(b - a, s, dens) for a, b in zip(times, times[1:])]))
         # times ascend from 0: each reduced numerator is at most times[-1], each denominator 2**s
-        if max(times[-1].bit_length(), s + 1) > bits:
+        if bits and max(times[-1].bit_length(), s + 1) >= bits:
             for t in times:
                 _text(t, s, dens)
     total = str(report.total)

@@ -18,7 +18,6 @@ then a sweep over canonical processor labellings picks the assignment.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 from .dyadic import ZERO, Dyadic, _clear_denominators, _make
@@ -78,7 +77,7 @@ def positional_weights(n: int, m: int) -> PositionalWeights:
         raise ValueError("need n >= 0 and m >= 1")
     if n == 0:
         return PositionalWeights(0, 0, ())
-    k = math.ceil(n / m)
+    k = -(-n // m)
     tail = n - (k - 1) * m
     weights = [_make(1, depth) for depth in range(1, k) for _ in range(m)]
     weights.extend(_make(1, k) for _ in range(tail))

@@ -33,24 +33,22 @@ keeps them as a job list and finds where a push empties one of them.
 
 All of it runs on the scaled-integer core: times become integers over one
 power of two, and each processor's chunk list stays in start order as the
-passes update it.  ``_gaps`` reads every hole in such a list, except the
-ones ``compact_idle``'s fills search for as they change it.
+passes update it.  ``_gaps`` reads every hole in such a list.
 ``compact_idle`` refines the grid by at most one binary digit, before it
 fills anything, and a public ``pull`` or ``push`` by the digits its
 halvings need; the loop compares integers on the grid the passes leave.
-``normalize``, ``merge_preemptions`` and ``reorder`` are each one sweep
-per processor.  A synchronized schedule's grid comes from
-``engine._layout``, which puts the walk of each processor on one scale:
-``from_synchronized`` returns it as a general schedule, and
-``synchronize`` runs its exit check on it and takes its final value from
-the walk's total.  ``Dyadic`` values are built only where results and
-messages leave.
+All four passes are each one sweep per processor; ``compact_idle``'s
+sweep fills the holes right to left, each read once.  A synchronized
+schedule's grid comes from ``engine._layout``, which puts the walk of each
+processor on one scale: ``from_synchronized`` returns it as a general
+schedule, and ``synchronize`` runs its exit check on it and takes its
+final value from the walk's total.  ``Dyadic`` values are built only
+where results and messages leave.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from typing import Mapping
 
 from .dyadic import Dyadic, _clear_denominators, _make, _quoted, as_dyadic
@@ -252,8 +250,9 @@ def _shown(value: Dyadic) -> str:
         return str(value)
     except ValueError:
         num = abs(value.mantissa)
-        digits = int(math.log10(num)) + 1  # the float may be one off near a power of ten
-        digits += (num >= 10**digits) - (num < 10 ** (digits - 1))
+        digits = num.bit_length() * 1233 >> 12  # at most the count: 1233 / 4096 < log10(2)
+        while num >= 10**digits:
+            digits += 1
         return f"a number with a {digits}-digit numerator"
 
 
@@ -412,24 +411,26 @@ def _compact_idle(grid: _Grid) -> None:
     # entry grid is even, every fill is exact.  One binary digit makes them even,
     # and doubling every time commutes with the fills, so it can come first
     grid.shift(any(gap & 1 for chunks in grid.lists() for gap in _gaps(chunks)))
+    # a fill takes from the end of the last chunk and lays its piece at the start
+    # of what is left of the hole, so it changes no chunk or hole before that one:
+    # right to left, each hole is read once and filled from the latest chunks
     private = grid.private
     for chunks in grid.lists():
-        t = len(chunks) - 1
-        while chunks:
-            # the last hole precedes chunk t; none can open past the one just filled
-            t = min(t + 1, len(chunks) - 1)
-            while t >= 0 and not (chunks[t - 1][1] if t else 0) < chunks[t][0]:
-                t -= 1
-            if t < 0:
-                break
-            lo, hi = (chunks[t - 1][1] if t else 0), chunks[t][0]
-            last = chunks[-1]
-            eps = min((hi - lo) >> 1, last[1] - last[0])
-            last[1] -= eps
-            private[last[2]] -= eps
-            chunks.insert(t, [lo, lo + 2 * eps, last[2]])
-            if last[0] == last[1]:
-                chunks.pop()
+        laid, d = [], 0  # the chunks from this hole on, last first; laid[d] is the donor
+        for chunk, gap in zip(reversed(chunks), reversed(_gaps(chunks))):
+            laid.append(chunk)
+            lo, hi, fill = chunk[0] - gap, chunk[0], []
+            # once the donor passes this hole's chunk, the processor ends in the hole: it stays open
+            while lo < hi and d < len(laid):
+                donor = laid[d]
+                eps = min((hi - lo) >> 1, donor[1] - donor[0])
+                donor[1] -= eps
+                private[donor[2]] -= eps
+                fill.append([lo, lo + 2 * eps, donor[2]])
+                lo += 2 * eps
+                d += donor[0] == donor[1]
+            laid += reversed(fill)
+        chunks[:] = laid[d:][::-1]
 
 
 def _merge_preemptions(grid: _Grid) -> None:
@@ -499,8 +500,10 @@ def compact_idle(g: GeneralSchedule) -> GeneralSchedule:
     that raises the value by ``e`` times the job's weight.  A hole of
     length ``h`` takes ``e <= h/2``, so the times gain one binary digit
     when some hole's length has as many fractional binary digits as the
-    schedule's finest time, and none otherwise.  Requires a valid normal
-    schedule.
+    schedule's finest time, and none otherwise.  The holes are filled
+    right to left, from the latest chunks, in one sweep per processor; a
+    hole stays open once the processor's end has moved into it.  Requires
+    a valid normal schedule.
     """
     return _run_pass(g, "compact_idle")
 

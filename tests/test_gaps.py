@@ -4,8 +4,10 @@ against the code they replaced.
 ``_gaps(chunks)`` is each chunk's start minus the previous chunk's end
 (minus 0 for the first).  ``is_gap_free``, the idle time ``reorder``
 keeps between slots and the contiguity check of ``pull`` and ``push``
-read holes through it.  Test-local copies of the replaced forms check
-them, with the tie-break included:
+read holes through it, and so do ``compact_idle``'s parity shift and its
+sweep, which ``tests/test_transforms_grid.py`` checks against the loop it
+replaced.  Test-local copies of the replaced forms check the others, with
+the tie-break included:
 
 * ``replaced_is_gap_free`` walked a cursor along each processor;
 * ``replaced_reorder`` kept the first chunk's start and, for each later

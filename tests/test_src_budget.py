@@ -6,6 +6,11 @@ is the first statement of a module, class or function.  Run as a script,
 this prints the count of each module and the total::
 
     python tests/test_src_budget.py
+
+The package computes exactly, so no module may use a float: both the test
+and the script fail on a float constant, a call of ``float`` or an import of
+``math`` anywhere under ``src/sharedsched``.  ``float`` as a type, as in an
+``isinstance`` check that rejects JSON floats, is allowed.
 """
 
 import ast
@@ -58,6 +63,30 @@ def module_counts() -> dict[str, int]:
     }
 
 
+def float_sites(source: str) -> list[str]:
+    """Each float constant, call of ``float`` and import of ``math`` in ``source``."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Constant) and isinstance(node.value, float):
+            sites.append((node.lineno, f"float constant {node.value!r}"))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id == "float":
+                sites.append((node.lineno, "call of float"))
+        elif isinstance(node, ast.Import) and "math" in [alias.name for alias in node.names]:
+            sites.append((node.lineno, "import of math"))
+        elif isinstance(node, ast.ImportFrom) and node.module == "math":
+            sites.append((node.lineno, "import of math"))
+    return [f"{line}: {what}" for line, what in sorted(sites)]
+
+
+def module_float_sites() -> list[str]:
+    return [
+        f"{path.name}:{site}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for site in float_sites(path.read_text(encoding="utf-8"))
+    ]
+
+
 def test_src_within_budget():
     counts = module_counts()
     assert counts, f"no modules under {PACKAGE}"
@@ -84,8 +113,31 @@ class A:
     assert code_lines(source) == 6  # X's two lines, class, def, return's two lines
 
 
+def test_src_has_no_floats():
+    assert module_float_sites() == []
+
+
+def test_finds_each_kind_of_float_site():
+    source = """import math
+from math import ceil
+x = 3.32 * 2
+y = float("inf")
+z = isinstance(x, (bool, float)) and 10**3 and float
+"""
+    assert float_sites(source) == [
+        "1: import of math",
+        "2: import of math",
+        "3: float constant 3.32",
+        "4: call of float",
+    ]
+
+
 if __name__ == "__main__":
     counts = module_counts()
     for name, count in counts.items():
         print(f"{count:6d}  {name}")
     print(f"{sum(counts.values()):6d}  total (budget {BUDGET})")
+    sites = module_float_sites()
+    for site in sites:
+        print(f"float in src/sharedsched/{site}")
+    raise SystemExit(1 if sites else 0)

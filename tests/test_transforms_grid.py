@@ -11,12 +11,14 @@ corpus of general schedules:
   is never re-recorded: a mismatch means the moves changed.
 * a ``Fraction`` recomputation of values and validity from the intervals.
 
-``compact_idle`` and ``merge_preemptions`` were loops until they became
-one refinement and one sweep per processor; test-local copies of the
-loops (``replaced_*`` below) check them on every grid they can differ
-on, and two contracts pin what the rewrite bought: the merge's work is
-linear in the chunks, and ``compact_idle`` refines the grid by exactly
-one binary digit when an entry hole has odd length and by none otherwise.
+``compact_idle`` and ``merge_preemptions`` were search loops until each
+became one sweep per processor, ``compact_idle``'s after one refinement;
+test-local copies of the loops (``replaced_*`` below) check them on every
+grid they can differ on and on one processor of 2,400 chunks, and the
+copy of ``compact_idle``'s loop counts the cases its sweep must match.
+Two contracts pin what the rewrite bought: the merge's work is linear in
+the chunks, and ``compact_idle`` refines the grid by exactly one binary
+digit when an entry hole has odd length and by none otherwise.
 
 The push/pull loop rippled each step through the chunks behind the job it
 moved until it became a loop over job lists that writes nothing to the
@@ -372,9 +374,16 @@ def test_pass_values_never_decrease(name, g, inst):
 # -- the sweeps against the loops they replaced -----------------------------------
 
 
-def replaced_compact_idle(grid):
+def replaced_compact_idle(grid, cases=None):
+    """The search-and-insert loop.  It adds to ``cases``, a ``Counter`` when
+    given, what the sweep that replaced it must match: holes at time 0, holes
+    filled from several donors, fills from a piece laid in a later hole, and
+    holes left open because the processor's end moved into them."""
+    cases = Counter() if cases is None else cases
     private = grid.private
     for chunks in grid.lists():
+        fills, right = [], None  # the fills of each hole, and the chunk after the last one
+        pieces = {}  # by id, kept alive so that no other list takes one's id
         t = len(chunks) - 1
         while chunks:
             t = min(t + 1, len(chunks) - 1)
@@ -386,13 +395,23 @@ def replaced_compact_idle(grid):
             if (hi - lo) & 1:
                 grid.shift(1)
                 continue
+            if chunks[t] is not right:
+                right = chunks[t]
+                fills.append(0)
+            fills[-1] += 1
             last = chunks[-1]
+            cases["hole at time 0"] += lo == 0
+            cases["fill from a piece of a later hole"] += id(last) in pieces
             eps = min((hi - lo) >> 1, last[1] - last[0])
             last[1] -= eps
             private[last[2]] -= eps
-            chunks.insert(t, [lo, lo + 2 * eps, last[2]])
+            piece = [lo, lo + 2 * eps, last[2]]
+            pieces[id(piece)] = piece
+            chunks.insert(t, piece)
             if last[0] == last[1]:
+                cases["hole left open"] += last is right and lo + 2 * eps < hi
                 chunks.pop()
+        cases["hole filled from several donors"] += sum(n > 1 for n in fills)
 
 
 def replaced_merge_preemptions(grid):
@@ -470,6 +489,19 @@ def odd_hole_on_processor_2():
     return _build([("a", 1, [(2, 6)], 6, 1), ("b", 2, [(1, 4)], 4, 1)], 2)
 
 
+def long_processor(n=2400, seed=7):
+    """``n`` single-chunk jobs on one processor, from a hole at time 0 on,
+    with an idle hole of odd or even length before about half the chunks."""
+    rng = random.Random(seed)
+    rows, cursor = [], rng.randint(1, 9)
+    for idx in range(n):
+        if idx and rng.random() < 0.5:
+            cursor += rng.randint(1, 9)
+        start, cursor = cursor, cursor + rng.randint(1, 9)
+        rows.append((f"j{idx}", 1, [(start, cursor)], cursor + rng.randint(0, 3), 1))
+    return _build(rows, 1)
+
+
 def holes(chunks):
     """The length of each idle hole on one processor of a grid."""
     gaps = [b[0] - a[1] for a, b in zip([[0, 0]] + chunks, chunks)]
@@ -483,6 +515,7 @@ def state(grid):
 PREEMPTED_CASES = [preempted(random.Random(seed)) for seed in range(400)]
 PREEMPTED = [g for g, _ in PREEMPTED_CASES]
 NORMAL = PREEMPTED + [normalize(g) for _, g, _ in CORPUS] + [odd_hole_on_processor_2()[0]]
+SWEPT = NORMAL + [long_processor()[0]]
 
 
 def test_preempted_corpus_covers_what_the_sweeps_must_match():
@@ -494,11 +527,26 @@ def test_preempted_corpus_covers_what_the_sweeps_must_match():
     assert most_pieces == {1, 2, 3, 4}
     assert {(False,), (True,), (False, True), (True, False)} <= odd_holes
     assert any(len(set(odd)) == 2 for odd in odd_holes if len(odd) == 3)
+    # and NORMAL meets every case of compact_idle's sweep
+    cases = Counter()
+    for g in NORMAL:
+        replaced_compact_idle(_Grid(g), cases)
+    assert set(cases) == {
+        "hole at time 0",
+        "hole filled from several donors",
+        "fill from a piece of a later hole",
+        "hole left open",
+    }
+    assert min(cases.values()) > 0, cases
+    # SWEPT's one long processor, from a hole at time 0 on
+    (chunks,) = _Grid(SWEPT[-1]).lists()
+    assert len(chunks) >= 2000 and chunks[0][0] > 0
+    assert len(holes(chunks)) > 1000 and {h & 1 for h in holes(chunks)} == {0, 1}
 
 
 @pytest.mark.parametrize("group", range(4))
 def test_sweeps_match_the_replaced_loops(group):
-    for g in NORMAL[group::4]:
+    for g in SWEPT[group::4]:
         new, old = _Grid(g), _Grid(g)
         _compact_idle(new)
         replaced_compact_idle(old)
