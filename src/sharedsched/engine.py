@@ -216,12 +216,9 @@ def _report_chunks(report: EvalReport) -> Iterator[str]:
     yield f'], "total": "{total}"}}'
 
 
-def _times(items: Iterable) -> list[Dyadic]:
-    return [item.p if isinstance(item, Job) else as_dyadic(item) for item in items]
-
-
-def _weights(items: Iterable) -> list[Dyadic]:
-    return [item.w if isinstance(item, Job) else as_dyadic(item) for item in items]
+def _field(items: Iterable, name: str) -> list[Dyadic]:
+    """Field ``name`` ("p" or "w") of each job in ``items``; any other item is a value."""
+    return [getattr(item, name) if isinstance(item, Job) else as_dyadic(item) for item in items]
 
 
 def _walk(ps: Sequence[Dyadic], ws: Sequence[Dyadic] = ()):
@@ -257,18 +254,18 @@ def _ascending(values: list[Dyadic]) -> list[Dyadic]:
 
 def start_times(perm: Sequence) -> list[Dyadic]:
     """T_1..T_{k+1} for a job order: T_1 = 0, T_{i+1} = (T_i + p_i)/2."""
-    times, s, *_ = _walk(_times(perm))
+    times, s, *_ = _walk(_field(perm, "p"))
     return [_make(t, s) for t in times]
 
 
 def check_feasible(perm: Sequence) -> int | None:
     """Return the first 1-based position with ``p_i <= T_i``, or None if ok."""
-    return _walk(_times(perm))[2]
+    return _walk(_field(perm, "p"))[2]
 
 
 def evaluate_sequence(perm: Sequence) -> Dyadic:
     """Total weighted overlap of one shared-processor order via the recurrence."""
-    *_, num, e = _walk(_times(perm), _weights(perm))
+    *_, num, e = _walk(_field(perm, "p"), _field(perm, "w"))
     return _make(num, e)
 
 
@@ -361,8 +358,7 @@ def evaluate_matrix(perm: Sequence) -> Dyadic:
     matrix; an independent route that must agree exactly with
     :func:`evaluate_sequence`.
     """
-    ps = _times(perm)
-    ws = _weights(perm)
+    ps, ws = _field(perm, "p"), _field(perm, "w")
     k = len(ps)
     diag = ZERO
     for p, w in zip(ps, ws):
@@ -388,7 +384,7 @@ def suffix_weight(perm: Sequence, i: int) -> Dyadic:
     k = len(perm)
     if not -1 <= i <= k - 2:
         raise IndexError(f"suffix weight index {i} out of range [-1, {k - 2}]")
-    return _suffix_weight(_weights(perm), i)
+    return _suffix_weight(_field(perm, "w"), i)
 
 
 def exchange_delta(perm: Sequence, i: int) -> Dyadic:
@@ -401,8 +397,7 @@ def exchange_delta(perm: Sequence, i: int) -> Dyadic:
     k = len(perm)
     if not 1 <= i <= k - 1:
         raise IndexError(f"exchange position {i} out of range [1, {k - 1}]")
-    ps = _times(perm)
-    ws = _weights(perm)
+    ps, ws = _field(perm, "p"), _field(perm, "w")
     t_i = start_times(perm)[i - 1]
     w_i, w_next = ws[i - 1], ws[i]
     p_i, p_next = ps[i - 1], ps[i]
@@ -431,23 +426,23 @@ def is_processing_time_inclusive(jobs: Iterable) -> bool:
     Such a job set can be placed on a shared processor in any order, and
     any order stays feasible; empty and singleton sets qualify vacuously.
     """
-    return _is_inclusive(_times(jobs))
+    return _is_inclusive(_field(jobs, "p"))
 
 
 def is_weight_inclusive(jobs: Iterable) -> bool:
     """Same test as :func:`is_processing_time_inclusive`, applied to weights."""
-    return _is_inclusive(_weights(jobs))
+    return _is_inclusive(_field(jobs, "w"))
 
 
 def _inclusivity_failures(jobs: Sequence) -> list[str]:
     """The inclusivity tests a job set fails, processing times first."""
-    values = {"processing-time": _times(jobs), "weight": _weights(jobs)}
+    values = {"processing-time": _field(jobs, "p"), "weight": _field(jobs, "w")}
     return [f"job set is not {k}-inclusive" for k, v in values.items() if not _is_inclusive(v)]
 
 
 def is_v_shaped(perm: Sequence) -> bool:
     """Processing times non-increasing then non-decreasing (ties allowed)."""
-    ps = _times(perm)
+    ps = _field(perm, "p")
     i = 1
     while i < len(ps) and ps[i] <= ps[i - 1]:
         i += 1

@@ -34,7 +34,7 @@ from typing import Mapping, Sequence
 
 from .dyadic import ZERO, Dyadic, _quoted
 from .engine import SyncSchedule, evaluate
-from .model import Instance, InstanceError, Job, _load_json, _Record
+from .model import Instance, InstanceError, Job, _load_json, _Record, _trusted
 from .solvers import InstanceTooLargeError
 
 __all__ = [
@@ -120,20 +120,17 @@ def build_params(inp: N3DMInput) -> tuple[int, int]:
 def gen_instance(inp: N3DMInput) -> HardInstance:
     """Deterministic 3n-job, n-shared-processor instance with w = p."""
     m_param, big_m = build_params(inp)
-    jobs = []
-    provenance = {}
-    for idx in range(inp.n):
-        specs = (
-            (f"A{idx + 1}", 2 * (big_m + m_param + inp.x[idx]), "A"),
-            (f"B{idx + 1}", 2 * big_m + inp.y[idx], "B"),
-            (f"C{idx + 1}", 2 * (big_m + m_param * m_param + inp.z[idx]), "C"),
-        )
-        for job_id, time, group in specs:
-            jobs.append((group, idx, Job(job_id, Dyadic(time), Dyadic(time))))
-            provenance[job_id] = (group, idx + 1)
-    # group A first, then B, then C, each in input order
-    jobs.sort(key=lambda item: (item[0], item[1]))
-    instance = Instance(tuple(job for _, _, job in jobs), inp.n)
+    groups = {  # group A first, then B, then C, each in input order
+        "A": [2 * (big_m + m_param + x) for x in inp.x],
+        "B": [2 * big_m + y for y in inp.y],
+        "C": [2 * (big_m + m_param * m_param + z) for z in inp.z],
+    }
+    jobs, provenance = [], {}
+    for group, times in groups.items():
+        for idx, time in enumerate(times, start=1):
+            jobs.append(Job(f"{group}{idx}", Dyadic(time), Dyadic(time)))
+            provenance[jobs[-1].id] = (group, idx)
+    instance = Instance(tuple(jobs), inp.n)
     k_const = 4 * big_m + m_param + m_param * m_param + inp.b
     return HardInstance(instance, big_m, m_param, k_const, inp, provenance)
 
@@ -172,7 +169,9 @@ def equitable_schedule(hi: HardInstance, matching: Sequence[Sequence[int]]) -> S
 
 
 def _triple_schedule(triples: list[tuple[int, int, int]]) -> SyncSchedule:
-    return SyncSchedule(tuple((f"A{a + 1}", f"B{b + 1}", f"C{c + 1}") for a, b, c in triples))
+    # the triples' columns are permutations (_check_matching), so no job repeats
+    sequences = tuple([(f"A{a + 1}", f"B{b + 1}", f"C{c + 1}") for a, b, c in triples])
+    return _trusted(SyncSchedule, {"sequences": sequences})
 
 
 def _delta(src: N3DMInput, ai: int, bi: int, ci: int) -> int:

@@ -21,7 +21,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .dyadic import ZERO, Dyadic, _clear_denominators, _make
-from .engine import SyncSchedule, _ascending, _times, _walk
+from .engine import SyncSchedule, _ascending, _field, _walk
 from .model import Instance, Job, _Record, _trusted
 
 __all__ = [
@@ -108,7 +108,7 @@ def solve_equal_weights(inst: Instance) -> SyncSchedule:
 def equal_weights_value(partition: Sequence[Sequence]) -> Dyadic:
     """Unit-weight value of ascending per-processor job lists:
     sum of p_i / 2^(size+1-i) over each list."""
-    groups = [_times(group) for group in partition]  # coerce every list before any check
+    groups = [_field(group, "p") for group in partition]  # coerce every list before any check
     total = ZERO
     for ps in groups:
         # with unit weights the total overlap telescopes to the makespan T_{k+1}
@@ -123,7 +123,7 @@ def equal_weights_value(partition: Sequence[Sequence]) -> Dyadic:
 def single_processor_ascending(jobs: Sequence) -> Dyadic:
     """Best single-shared-processor value for unit weights: run jobs in
     ascending order, yielding p_n/2 + p_{n-1}/4 + ... + p_1/2^n."""
-    times, s, *_ = _walk(_ascending(_times(jobs)))
+    times, s, *_ = _walk(_ascending(_field(jobs, "p")))
     return _make(times[-1], s)
 
 
@@ -167,7 +167,6 @@ def brute_force(
     ps, p_exp = _clear_denominators([job.p for job in inst.jobs])
     ws, w_exp = _clear_denominators([job.w for job in inst.jobs])
     best_num, _, orders = _permsearch.search(ps, ws, inst.m)
-    schedule = SyncSchedule(
-        tuple(tuple(inst.jobs[j].id for j in order) for order in orders)
-    )
-    return schedule, _make(best_num, n + p_exp + w_exp)
+    # the search places each job at most once, so the schedule needs no re-validation
+    sequences = tuple([tuple([inst.jobs[j].id for j in order]) for order in orders])
+    return _trusted(SyncSchedule, {"sequences": sequences}), _make(best_num, n + p_exp + w_exp)

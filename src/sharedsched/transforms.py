@@ -600,7 +600,7 @@ def pull(g: GeneralSchedule, processor: int, i: int, eps) -> GeneralSchedule:
     a, b, prev_id = chunks[i - 2]
     if not 0 < e <= b - a:
         raise PreconditionError(
-            f"eps = {eps} outside (0, {Dyadic(b - a, grid.scale)}], "
+            f"eps = {eps} outside (0, {_make(b - a, grid.scale)}], "
             f"the shared length of {_quoted(prev_id)}"
         )
     _ripple(grid, chunks, i - 1, e, -1)
@@ -627,7 +627,7 @@ def push(g: GeneralSchedule, processor: int, i: int, eps) -> GeneralSchedule:
     slack = grid.private[prev_id] - b
     if not 0 < 2 * e <= slack:
         raise PreconditionError(
-            f"eps = {eps} outside (0, {Dyadic(slack, grid.scale + 1)}], "
+            f"eps = {eps} outside (0, {_make(slack, grid.scale + 1)}], "
             f"half the slack of {_quoted(prev_id)}"
         )
     for offset, (a, b, job_id) in enumerate(chunks[i - 1 :], start=1):
@@ -760,7 +760,8 @@ def synchronize_detailed(g: GeneralSchedule, inst: Instance) -> SynchronizeRepor
         run(grid)  # each pass's output meets the next one's entry checks
         pass_values.append((name, _value(grid, weights)))
     steps, orders = _rebalance(grid, weights[0], inst.m, 2 * len(inst))
-    schedule = SyncSchedule(orders)
+    # the loop keeps each job in at most one order, so the schedule needs no re-validation
+    schedule = _trusted(SyncSchedule, {"sequences": orders})
     report = evaluate(schedule, inst)
     grid = _laid_out(report)
     _require(grid, inst)  # the exit check
@@ -824,11 +825,10 @@ def _read_general_schedule(data) -> GeneralSchedule:
                 )
             start = _literal(pair[0], parsed, "job {} interval start", job_id)
             intervals.append((start, _literal(pair[1], parsed, "job {} interval end", job_id)))
-        placements[job_id] = JobPlacement(
-            proc,
-            tuple(intervals),
-            _literal(entry["private_completion"], parsed, "job {} private completion", job_id),
-        )
+        c = _literal(entry["private_completion"], parsed, "job {} private completion", job_id)
+        # trusted, as parse_instance builds each Job: every endpoint is already a Dyadic
+        fields = {"processor": proc, "intervals": tuple(sorted(intervals)), "private_completion": c}
+        placements[job_id] = _trusted(JobPlacement, fields)
     return GeneralSchedule(placements)
 
 
