@@ -89,11 +89,14 @@ _SHOWN = 20
 class InvalidScheduleError(ValueError):
     """A general schedule violating its structural invariants.
 
-    ``violations`` holds every one, and reports each overlapping pair once:
-    two intervals of one job under that job, and two adjacent chunks of
-    different jobs under their processor.  The message lists the first
-    ``_SHOWN`` and the number of the rest, so that it stays short however
-    many there are.
+    ``violations`` holds every one.  A job's interval that starts before the
+    furthest end among the job's earlier intervals is named under that job.
+    Under its processor, a chunk is named with each of two earlier chunks of
+    other jobs that it overlaps: the one just before it, and the one that
+    ends last.  So a chunk that overlaps an earlier chunk of another job is
+    always named, and a pair of one job's chunks only under that job.  The
+    message lists the first ``_SHOWN`` and the number of the rest, so that
+    it stays short however many there are.
     """
 
     def __init__(self, violations):
@@ -281,15 +284,15 @@ def _violations(grid: _Grid, inst: Instance | None = None) -> list[str]:
                 out.append(f"job {_quoted(job_id)}: processor {_quoted(proc)} < 1")
             elif inst is not None and proc > inst.m:
                 out.append(f"job {_quoted(job_id)}: processor {_quoted(proc)} > m = {inst.m}")
-        prev_end = None
+        reach = None  # the furthest end among the job's earlier intervals
         for a, b in intervals[job_id]:
             if a < 0:
                 out.append(f"job {_quoted(job_id)}: interval ({t(a)}, {t(b)}) starts before 0")
             if not a < b:
                 out.append(f"job {_quoted(job_id)}: empty or reversed interval ({t(a)}, {t(b)})")
-            if prev_end is not None and a < prev_end:
+            if reach is not None and a < reach:
                 out.append(f"job {_quoted(job_id)}: overlapping own intervals at {t(a)}")
-            prev_end = b
+            reach = b if reach is None else max(reach, b)
         if inst is not None and inst.has_job(job_id):
             total = private + sum(b - a for a, b in intervals[job_id])
             expected = inst.job(job_id).p
@@ -300,12 +303,20 @@ def _violations(grid: _Grid, inst: Instance | None = None) -> list[str]:
                 )
     for proc in sorted(p for p in grid.chunks if p is not None):
         chunks = grid.chunks[proc]
-        for (a1, b1, j1), (a2, b2, j2) in zip(chunks, chunks[1:]):
-            if a2 < b1 and j1 != j2:  # a job's own overlap is reported with the job
-                out.append(
-                    f"processor {proc}: jobs {_quoted(j1)} and {_quoted(j2)} overlap in "
-                    f"({t(a2)}, {t(min(b1, b2))})"
-                )
+        top: list[list] = []  # of the earlier chunks: the one that ends last, and of another job
+        for prev, (a2, b2, j2) in zip(chunks, chunks[1:]):
+            # a stable sort: on equal ends the later chunk stays ahead
+            best = sorted([prev, *top], key=lambda c: c[1], reverse=True)
+            top = best[:1] + [c for c in best if c[2] != best[0][2]][:1]
+            # a chunk is named with its neighbour, and with the earlier chunk of
+            # another job that ends last when that is not the neighbour
+            far = next((c for c in top if c[2] != j2), prev)
+            for a1, b1, j1 in [prev] if far is prev else [prev, far]:
+                if a2 < b1 and j1 != j2:  # a job's own overlap is reported with the job
+                    out.append(
+                        f"processor {proc}: jobs {_quoted(j1)} and {_quoted(j2)} overlap in "
+                        f"({t(a2)}, {t(min(b1, b2))})"
+                    )
     return out
 
 

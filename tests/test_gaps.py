@@ -1,5 +1,5 @@
-"""Holes read through ``transforms._gaps`` and overlaps reported once,
-against the code they replaced.
+"""Holes read through ``transforms._gaps`` and overlaps reported once or
+newly named, against the code they replaced.
 
 ``_gaps(chunks)`` is each chunk's start minus the previous chunk's end
 (minus 0 for the first).  ``is_gap_free``, the idle time ``reorder``
@@ -17,8 +17,13 @@ the tie-break included:
 Results and error texts must be identical.  ``_violations`` no longer
 reports two adjacent chunks of one job as ``jobs 'x' and 'x' overlap``:
 the job's own ``overlapping own intervals`` line already names that
-fault.  ``replaced_violations`` is the old list; the new one must equal
-it without those lines, and every ``validate`` verdict must be the same.
+fault.  It also names overlaps that the old list skipped: a job's
+interval is compared with the furthest end among its earlier intervals,
+and a chunk with the earlier chunk of another job that ends last, not
+only with its neighbour.  ``replaced_violations`` is the old list; the
+new one must hold its lines without those same-job lines, in order, and
+every other line must name an overlap of two chunks or two intervals
+that are not neighbours.  Every ``validate`` verdict must be the same.
 
 The inputs are the canonicalization corpus, a staircase, the staircases
 that empty synchronized jobs, the nested family, the 400 preempted
@@ -158,6 +163,47 @@ def replaced_violations(grid, inst=None):
 
 
 SAME_JOB = re.compile(r"processor -?\d+: jobs (.+) and \1 overlap in \(.*\)")
+
+
+def non_adjacent_overlaps(grid):
+    """Every line that could name an overlap the replaced list skipped: a
+    chunk with an earlier chunk of another job on its processor, or a job's
+    interval with one of its own, either of them not the one just before."""
+
+    def t(x):
+        return _make(x, grid.scale)
+
+    lines, intervals = set(), {}
+    for proc, chunks in grid.chunks.items():
+        for u, (a1, b1, j1) in enumerate(chunks):
+            intervals.setdefault(j1, []).append((a1, b1))
+            for a2, b2, j2 in chunks[u + 2 :]:
+                if proc is not None and a2 < b1 and j1 != j2:
+                    lines.add(
+                        f"processor {proc}: jobs {_quoted(j1)} and {_quoted(j2)} overlap in "
+                        f"({t(a2)}, {t(min(b1, b2))})"
+                    )
+    for job_id, spans in intervals.items():
+        for u, (_, b1) in enumerate(spans):
+            lines.update(
+                f"job {_quoted(job_id)}: overlapping own intervals at {t(a2)}"
+                for a2, _ in spans[u + 2 :]
+                if a2 < b1
+            )
+    return lines
+
+
+def extra_lines(new, kept):
+    """The lines of ``new`` left once every line of ``kept`` is matched in
+    order; fails when some line of ``kept`` is missing or out of place."""
+    extra, matched = [], 0
+    for line in new:
+        if matched < len(kept) and line == kept[matched]:
+            matched += 1
+        else:
+            extra.append(line)
+    assert matched == len(kept), (new, kept)
+    return extra
 
 # -- random grids ----------------------------------------------------------------
 
@@ -314,9 +360,13 @@ def compare(g, inst, seen: Counter) -> None:
         seen[move.__name__, "idle time" in str(new[1]), new[0] is PreconditionError] += 1
     for arg in (inst, None):
         new, old = _violations(_Grid(g), arg), replaced_violations(_Grid(g), arg)
-        assert new == [line for line in old if not SAME_JOB.fullmatch(line)]
+        kept = [line for line in old if not SAME_JOB.fullmatch(line)]
+        extra = extra_lines(new, kept)
+        assert not extra or set(extra) <= non_adjacent_overlaps(_Grid(g)), extra
         assert bool(new) == bool(old)
-        seen["same-job lines"] += len(old) - len(new)
+        seen["same-job lines"] += len(old) - len(kept)
+        for line in extra:
+            seen["extra", line.split(" ", 1)[0]] += 1  # "processor" or "job"
     assert bool(validate(g, inst)) == bool(replaced_violations(_Grid(g), inst))
 
 
@@ -346,6 +396,10 @@ def test_random_grids_cover_the_edges():
     want |= {f"{who}-job overlap {at}" for who in ("same", "two") for at in ("adjacent", "apart")}
     assert want <= set(features), features
     assert not any(validate(g, inst) for g, inst in ORDERED_GRIDS)
+    seen = Counter()
+    for g, inst in RANDOM_GRIDS:
+        compare(g, inst, seen)
+    assert seen["extra", "processor"] and seen["extra", "job"], seen
 
 
 CASES = [(g, inst) for _, g, inst in REBALANCED] + PREEMPTED_CASES + RANDOM_GRIDS + ORDERED_GRIDS
@@ -357,10 +411,11 @@ def test_holes_and_overlaps_match_the_replaced_code(group):
     for g, inst in CASES[group::8]:
         for v in variants(g, inst):
             compare(v, inst, seen)
-    # the moves reached the contiguity check and passed it, and old lines were dropped
+    # the moves reached the contiguity check and passed it, old lines were
+    # dropped and new ones added; random grids also give the job kind of new line
     assert seen["pull", True, True] and seen["push", True, True], seen
     assert seen["pull", False, False] and seen["push", False, False], seen
-    assert seen["same-job lines"], seen
+    assert seen["same-job lines"] and seen["extra", "processor"], seen
 
 
 def test_a_same_job_overlap_is_reported_once():
@@ -371,4 +426,22 @@ def test_a_same_job_overlap_is_reported_once():
     assert caught.value.violations == [
         "job 'j0': overlapping own intervals at 0",
         "job 'j0': length mismatch (intervals sum to 3, p = 7/4)",
+    ]
+
+
+def test_a_chunk_is_named_with_an_earlier_chunk_that_spans_its_neighbour():
+    placements = {"x": ((0, 10),), "y": ((1, 2),), "z": ((3, 4),)}
+    g = GeneralSchedule({j: JobPlacement(1, spans, 0) for j, spans in placements.items()})
+    inst = make_instance([("x", 10, 1), ("y", 1, 1), ("z", 1, 1)], 1)
+    assert validate(g, inst) == [
+        "processor 1: jobs 'x' and 'y' overlap in (1, 2)",
+        "processor 1: jobs 'x' and 'z' overlap in (3, 4)",
+    ]
+
+
+def test_an_interval_is_checked_against_the_furthest_earlier_end():
+    g = GeneralSchedule({"x": JobPlacement(1, ((0, 10), (1, 2), (3, 4)), 0)})
+    assert validate(g, make_instance([("x", 12, 1)], 1)) == [
+        "job 'x': overlapping own intervals at 1",
+        "job 'x': overlapping own intervals at 3",
     ]

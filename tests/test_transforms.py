@@ -487,6 +487,17 @@ def test_general_schedule_roundtrip():
     text = serialize_general_schedule(g)
     assert parse_general_schedule(text) == g
     assert serialize_general_schedule(parse_general_schedule(text)) == text
+    # intervals out of order in the document come out sorted, as the public constructor sorts them
+    text = (
+        '{"jobs": [{"id": "c", "shared_processor": 2, "private_completion": "1/2", '
+        '"shared_intervals": [["3", "4"], ["0", "1/2"], ["1", "2"]]}]}'
+    )
+    parsed = parse_general_schedule(text)
+    assert parsed == schedule(c=(2, ((3, 4), (0, D(1, 1)), (1, 2)), D(1, 1)))
+    assert parsed.placements["c"].intervals == ((0, D(1, 1)), (1, 2), (3, 4))
+    assert '"shared_intervals": [["0", "1/2"], ["1", "2"], ["3", "4"]]' in (
+        serialize_general_schedule(parsed)
+    )
 
 
 def test_shared_intervals_must_be_a_list():
