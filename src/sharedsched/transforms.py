@@ -91,10 +91,11 @@ class InvalidScheduleError(ValueError):
 
     ``violations`` holds every one.  A job's interval that starts before the
     furthest end among the job's earlier intervals is named under that job.
-    Under its processor, a chunk is named with each of two earlier chunks of
-    other jobs that it overlaps: the one just before it, and the one that
-    ends last.  So a chunk that overlaps an earlier chunk of another job is
-    always named, and a pair of one job's chunks only under that job.  The
+    Under its processor, a chunk is named with the jobs of two earlier chunks
+    that it overlaps, each job once: the chunk just before it, and the chunk
+    of another job that ends last.  So a chunk that overlaps an earlier
+    chunk of another job is always named, and a pair of one job's chunks
+    only under that job.  The
     message lists the first ``_SHOWN`` and the number of the rest, so that
     it stays short however many there are.
     """
@@ -303,20 +304,21 @@ def _violations(grid: _Grid, inst: Instance | None = None) -> list[str]:
                 )
     for proc in sorted(p for p in grid.chunks if p is not None):
         chunks = grid.chunks[proc]
-        top: list[list] = []  # of the earlier chunks: the one that ends last, and of another job
+        top: list[list] = []  # the earlier chunk ending last, then the last of another job
         for prev, (a2, b2, j2) in zip(chunks, chunks[1:]):
             # a stable sort: on equal ends the later chunk stays ahead
             best = sorted([prev, *top], key=lambda c: c[1], reverse=True)
             top = best[:1] + [c for c in best if c[2] != best[0][2]][:1]
-            # a chunk is named with its neighbour, and with the earlier chunk of
-            # another job that ends last when that is not the neighbour
+            # a chunk is named with its neighbour and with the earlier chunk of another
+            # job that ends last: each job once, the neighbour's first and at its end.
+            # A job's own overlap is reported with the job
             far = next((c for c in top if c[2] != j2), prev)
-            for a1, b1, j1 in [prev] if far is prev else [prev, far]:
-                if a2 < b1 and j1 != j2:  # a job's own overlap is reported with the job
-                    out.append(
-                        f"processor {proc}: jobs {_quoted(j1)} and {_quoted(j2)} overlap in "
-                        f"({t(a2)}, {t(min(b1, b2))})"
-                    )
+            named = {j1: b1 for _, b1, j1 in (far, prev) if a2 < b1 and j1 != j2}
+            for j1, b1 in reversed(named.items()):
+                out.append(
+                    f"processor {proc}: jobs {_quoted(j1)} and {_quoted(j2)} overlap in "
+                    f"({t(a2)}, {t(min(b1, b2))})"
+                )
     return out
 
 

@@ -437,6 +437,13 @@ def test_a_chunk_is_named_with_an_earlier_chunk_that_spans_its_neighbour():
         "processor 1: jobs 'x' and 'y' overlap in (1, 2)",
         "processor 1: jobs 'x' and 'z' overlap in (3, 4)",
     ]
+    # when the neighbour and the chunk that ends last are one job's, that job is named once
+    spans = {"x": ((0, 10), (1, 4)), "z": ((3, 5),)}
+    g = GeneralSchedule({j: JobPlacement(1, intervals, 0) for j, intervals in spans.items()})
+    assert validate(g, make_instance([("x", 13, 1), ("z", 2, 1)], 1)) == [
+        "job 'x': overlapping own intervals at 1",
+        "processor 1: jobs 'x' and 'z' overlap in (3, 4)",
+    ]
 
 
 def test_an_interval_is_checked_against_the_furthest_earlier_end():
