@@ -304,21 +304,24 @@ def _violations(grid: _Grid, inst: Instance | None = None) -> list[str]:
                 )
     for proc in sorted(p for p in grid.chunks if p is not None):
         chunks = grid.chunks[proc]
-        top: list[list] = []  # the earlier chunk ending last, then the last of another job
+        # the earlier chunk that ends last, and the one of another job (or of its job: none yet)
+        last = other = chunks[0] if chunks else None
         for prev, (a2, b2, j2) in zip(chunks, chunks[1:]):
-            # a stable sort: on equal ends the later chunk stays ahead
-            best = sorted([prev, *top], key=lambda c: c[1], reverse=True)
-            top = best[:1] + [c for c in best if c[2] != best[0][2]][:1]
-            # a chunk is named with its neighbour and with the earlier chunk of another
-            # job that ends last: each job once, the neighbour's first and at its end.
-            # A job's own overlap is reported with the job
-            far = next((c for c in top if c[2] != j2), prev)
-            named = {j1: b1 for _, b1, j1 in (far, prev) if a2 < b1 and j1 != j2}
-            for j1, b1 in reversed(named.items()):
-                out.append(
-                    f"processor {proc}: jobs {_quoted(j1)} and {_quoted(j2)} overlap in "
-                    f"({t(a2)}, {t(min(b1, b2))})"
-                )
+            if prev[1] >= last[1]:  # on equal ends the later chunk wins
+                last, other = prev, (last if last[2] != prev[2] else other)
+            elif prev[2] != last[2] and (other[2] == last[2] or prev[1] >= other[1]):
+                other = prev
+            if a2 < last[1]:  # else no earlier chunk reaches into this one
+                # a chunk is named with its neighbour and with the earlier chunk of another
+                # job that ends last: each job once, the neighbour's first and at its end.
+                # A job's own overlap is reported with the job
+                far = other if last[2] == j2 else last
+                named = {j1: b1 for _, b1, j1 in (far, prev) if a2 < b1 and j1 != j2}
+                for j1, b1 in reversed(named.items()):
+                    out.append(
+                        f"processor {proc}: jobs {_quoted(j1)} and {_quoted(j2)} overlap in "
+                        f"({t(a2)}, {t(min(b1, b2))})"
+                    )
     return out
 
 
