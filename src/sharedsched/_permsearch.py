@@ -27,19 +27,34 @@ dropped prefix is therefore beaten by a kept one under every non-empty
 suffix, or it ties a kept one of equal ``(t, v)`` whose order is smaller,
 so the smallest optimal order of every subset survives to be recorded.
 
-*Assignment phase*, a sweep over canonical labellings.  Relabelling the
-shared processors never changes the total, and the canonical labelling
-of a partition (job ``j`` goes private, to an already opened processor,
-or to the next unopened one) is the lexicographically smallest of its
-relabellings.  So the lexicographically smallest optimal assignment is
-canonical, and a depth-first sweep over canonical labellings in
-lexicographic order that keeps the first strict maximum finds it.
+*Assignment phase*, a max-plus DP over job subsets.  Relabelling the
+shared processors never changes the total, so label each partition
+canonically: 0 for a private job, and the blocks numbered 1, 2, ... in the
+order of their lowest jobs; this is the lexicographically smallest of its
+relabellings, so the smallest optimal assignment is canonical.  A cell
+``(U, b)`` holds the best total of the jobs ``U`` on at most ``b``
+processors and the smallest canonical label tuple of ``U``'s jobs that
+reaches it; ``b`` runs up to ``min(m, n)``.  The lowest job of ``U`` either
+runs privately, leaving cell ``(U - {low}, b)``, or opens the block
+``T + {low}`` for some ``T`` within the rest of ``U``, leaving cell
+``(U - T - {low}, b - 1)``.  The labels a cell keeps are the smallest, for
+two reasons.  Private beats every block at the lowest job: its tuple starts
+with 0 and every block's with 1.  For a fixed block, the merged tuple (1 on
+the block, the sub-cell's labels raised by one elsewhere, 0 kept) is
+monotone in the sub-cell's tuple, so the sub-cell's smallest tuple gives
+the block's smallest one.  A tuple spans all ``n`` jobs with 0 outside
+``U``, which no comparison within a cell can tell apart.  Labels are built
+and compared only when a candidate ties or beats the best total so far.
+The cells cost ``k * (3**n - 1) / 2`` block candidates and
+``(k + 1) * (2**n - 1)`` private ones, ``k = min(m, n)``.
 
 ``subset_best`` is the plain per-subset enumeration of every feasible
 order, kept as the reference for the subset phase.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 __all__ = ["search", "subset_best"]
 
@@ -79,14 +94,20 @@ def subset_best(p: list[int], w: list[int], mask: int) -> tuple[int, tuple[int, 
 
 
 def _subset_optima(
-    p: list[int], w: list[int]
+    p: list[int], w: list[int], spend: Callable[[int], None] | None = None
 ) -> tuple[list[int], list[tuple[int, ...]]]:
-    """Every subset's best value scaled by 2**n and its smallest optimal order."""
+    """Every subset's best value scaled by 2**n and its smallest optimal order.
+
+    ``spend``, if given, is called at each depth with the number of prefix
+    states about to be extended.
+    """
     n = len(p)
     values = [0] * (1 << n)
     perms: list[tuple[int, ...]] = [()] * (1 << n)
     fronts: dict[int, list[tuple[int, int, tuple[int, ...]]]] = {0: [(0, 0, ())]}
     for depth in range(n):
+        if spend:
+            spend(sum(map(len, fronts.values())))
         shift = n - depth - 1
         arrivals: dict[int, dict[int, tuple[int, tuple[int, ...]]]] = {}
         for mask, front in fronts.items():
@@ -128,49 +149,42 @@ def _subset_optima(
 
 
 def search(
-    p: list[int], w: list[int], m: int
+    p: list[int], w: list[int], m: int, spend: Callable[[int], None] | None = None
 ) -> tuple[int, tuple[int, ...], tuple[tuple[int, ...], ...]]:
     """Exact optimum over all assignments and orders.
 
     Returns ``(value scaled by 2**n, assignment, per-processor orders)``
     where ``assignment[j]`` is 0 for private-only or the 1-based shared
-    processor index.
+    processor index.  ``spend``, if given, is called with the number of
+    prefix states at each depth of the subset phase before they are
+    extended.
     """
     n = len(p)
-    values, perms = _subset_optima(p, w)
+    values, perms = _subset_optima(p, w, spend)
+    size = 1 << n
+    totals: list[int] = []
+    labels: list[tuple[int, ...]] = []
+    for b in range(min(m, n) + 1):  # the cells of b processors; below, those of b - 1
+        below, below_labels = totals, labels
+        totals, labels = [0] * size, [(0,) * n] * size
+        for jobs in range(1, size):
+            rest = jobs & (jobs - 1)  # all but the lowest job
+            best, best_labels = totals[rest], labels[rest]  # the lowest job runs privately
+            left = rest
+            while b:  # or it opens a block with the jobs of rest that ``left`` leaves out
+                block = jobs ^ left
+                total = values[block] + below[left]
+                if total >= best:
+                    sub = below_labels[left]
+                    merged = tuple([1 if block >> j & 1 else q and q + 1 for j, q in enumerate(sub)])
+                    if total > best or merged < best_labels:
+                        best, best_labels = total, merged
+                if not left:
+                    break
+                left = (left - 1) & rest
+            totals[jobs], labels[jobs] = best, best_labels
+    assign = labels[size - 1]
     masks = [0] * (m + 1)
-    assign = [0] * n
-    best_total = -1
-    best_assign: tuple[int, ...] = ()
-    best_masks: list[int] = []
-
-    def place(j: int, opened: int) -> None:
-        nonlocal best_total, best_assign, best_masks
-        if j == n:
-            total = 0
-            for proc in range(1, opened + 1):
-                total += values[masks[proc]]
-            if total > best_total:
-                best_total = total
-                best_assign = tuple(assign)
-                best_masks = list(masks)
-            return
-        bit = 1 << j
-        for proc in range(min(opened + 1, m) + 1):
-            assign[j] = proc
-            masks[proc] |= bit
-            place(j + 1, max(opened, proc))
-            masks[proc] ^= bit
-
-    place(0, 0)
-    return best_total, best_assign, tuple(perms[best_masks[proc]] for proc in range(1, m + 1))
-
-
-def _labelling_count(n: int, m: int) -> int:
-    """The leaves of ``search``'s sweep.  With a phantom job in the private
-    block, each is a partition of n + 1 items into b blocks, b - 1 <= min(m, n)
-    of them processors: the sum of S(n + 1, b) over those b."""
-    row = [1]  # Stirling numbers of the second kind S(size, b), b = 0..size
-    for _ in range(n + 1):
-        row = [0] + [b * s + prev for b, (prev, s) in enumerate(zip(row, row[1:] + [0]), 1)]
-    return sum(row[1 : min(m, n) + 2])
+    for j, proc in enumerate(assign):
+        masks[proc] |= 1 << j
+    return totals[size - 1], assign, tuple(perms[mask] for mask in masks[1:])

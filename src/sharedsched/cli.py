@@ -81,27 +81,28 @@ def _read(path: str) -> bytes:
 def _write_all(texts: dict[Path, str]) -> None:
     """Write each text to its path, or else none of them.
 
-    Each text goes to a temporary file beside its path first; the paths
-    are replaced only once every text is written and no path names a
-    directory.  A failure removes the temporary files and is reported as
-    ``cannot write <path>``.
+    No path may name a directory (``/``, ``.`` and the empty path among
+    them); then each text goes to a temporary file beside its path, and
+    the paths are replaced only once every text is written.  A failure
+    removes the temporary files and is reported as ``cannot write <path>``.
     """
     written = {}
     try:
+        for path in texts:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         for path, text in texts.items():
             temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
             with open(temp, "w", encoding="utf-8") as file:
                 written[path] = temp
                 file.write(text)
-        for path in texts:
-            if path.is_dir():
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR))
         for path, temp in written.items():
             os.replace(temp, path)
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: a path with a NUL byte
         for temp in written.values():
             temp.unlink(missing_ok=True)
-        raise InstanceError(f"cannot write {path}: {exc.strerror or exc}") from exc
+        reason = getattr(exc, "strerror", None) or exc
+        raise InstanceError(f"cannot write {path}: {reason}") from exc
 
 
 def _load_instance(path: str) -> Instance:
@@ -225,7 +226,7 @@ def _cmd_gen_n3dm(args) -> int:
     summary = {"M": hi.M, "m_param": hi.m_param, "K": hi.K}
     instance = _text(hi.instance, _instance_data)
     provenance = _text(hi, hardness._provenance_data)  # holds M and K too
-    if args.out:
+    if args.out is not None:
         out = Path(args.out)
         sidecar = out.parent / (out.name.removesuffix(".json") + ".provenance.json")
         documents = {out: instance, sidecar: provenance}

@@ -13,7 +13,9 @@ each job to {private-only, processor 1..m} with the best feasible
 per-processor orders, and returns a maximizer with a deterministic
 tie-break.  Its search runs in ``_permsearch`` on integers scaled by
 powers of two: a dominance DP gives every job subset its best order,
-then a sweep over canonical processor labellings picks the assignment.
+then a max-plus DP over job subsets picks the assignment, each of its
+cells keeping the smallest canonical labelling that reaches its best
+total.
 """
 
 from __future__ import annotations
@@ -143,6 +145,12 @@ def brute_force(
     can change the optimum or its tie-break.  Ties are broken
     deterministically: lexicographically smallest assignment vector (in
     instance job order), then lexicographically smallest orders.
+
+    ``limits.max_candidates`` bounds the work the search does: the
+    assignment DP's candidates, ``k * (3**n - 1) / 2 + (k + 1) * (2**n - 1)``
+    with ``k = min(m, n)``, counted before the search starts, plus the
+    order prefixes the subset phase extends, counted at each depth before
+    it extends them.  Past the limit it raises ``InstanceTooLargeError``.
     """
     n = len(inst)
     if n > limits.max_jobs:
@@ -150,23 +158,25 @@ def brute_force(
             f"{n} jobs exceeds the limit of {limits.max_jobs}; raise max_jobs to force"
         )
     from . import _permsearch  # only brute loads the search module
-    # the order prefixes, the sum of n!/(n-k)!, then the labellings the sweep
-    # visits; counting stops once past the limit, since the full count is huge
-    work = term = 1
-    for factor in range(n, 0, -1):
-        term *= factor
-        work += term
+
+    work = 0
+
+    def spend(count: int) -> None:
+        nonlocal work
+        work += count
         if work > limits.max_candidates:
-            break
-    else:
-        work += _permsearch._labelling_count(n, inst.m)
-    if work > limits.max_candidates:
-        raise InstanceTooLargeError(
-            f"more than max_candidates = {limits.max_candidates} candidates to search"
-        )
+            raise InstanceTooLargeError(
+                f"more than max_candidates = {limits.max_candidates} candidates to search"
+            )
+
+    # the assignment DP's candidates, known before the search runs: each cell
+    # (jobs U, up to k processors) runs its lowest job privately, or, from one
+    # processor on, opens a block of it and any of the 2**(|U| - 1) sets of the rest
+    k = min(n, inst.m)
+    spend(k * (3**n - 1) // 2 + (k + 1) * ((1 << n) - 1))
     ps, p_exp = _clear_denominators([job.p for job in inst.jobs])
     ws, w_exp = _clear_denominators([job.w for job in inst.jobs])
-    best_num, _, orders = _permsearch.search(ps, ws, inst.m)
+    best_num, _, orders = _permsearch.search(ps, ws, inst.m, spend)
     # the search places each job at most once, so the schedule needs no re-validation
     sequences = tuple([tuple([inst.jobs[j].id for j in order]) for order in orders])
     return _trusted(SyncSchedule, {"sequences": sequences}), _make(best_num, n + p_exp + w_exp)

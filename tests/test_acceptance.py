@@ -37,7 +37,7 @@ from sharedsched.hardness import (
     processor_delta,
 )
 from sharedsched.model import Instance, Job
-from sharedsched.solvers import brute_force, solve_equal_weights
+from sharedsched.solvers import SearchLimits, brute_force, solve_equal_weights
 from sharedsched.transforms import (
     from_synchronized,
     is_gap_free,
@@ -182,8 +182,14 @@ def test_pull_push_deltas_and_inverse():
 
 def test_synchronize_contract():
     rng = random.Random(505)
-    for _ in range(200):
-        g, inst = random_general_schedule(rng, max_jobs=6)
+    cases = [random_general_schedule(rng, max_jobs=6) for _ in range(200)]
+    wide = random.Random(5050)  # and six of 11 or 12 jobs, where the exhaustive optimum still runs
+    while len(cases) < 206:
+        g, inst = random_general_schedule(wide, max_jobs=12)
+        if len(inst) >= 11:
+            cases.append((g, inst))
+    limits = SearchLimits(max_jobs=12, max_candidates=10_000_000)
+    for g, inst in cases:
         assert validate(g, inst) == []
         report = synchronize_detailed(g, inst)
         assert report.value_after >= report.value_before
@@ -191,12 +197,12 @@ def test_synchronize_contract():
         assert is_synchronized(report.general) and is_gap_free(report.general)
         assert evaluate(report.schedule, inst).total == report.value_after
         # no general schedule beats the best synchronized one, which synchronize keeps
-        best, optimum = brute_force(inst)
+        best, optimum = brute_force(inst, limits)
         assert report.value_after <= optimum
         assert evaluate(synchronize(from_synchronized(best, inst), inst), inst).total == optimum
     passed(
         "synchronize: value never decreases, <= 2n rebalance steps, never above the "
-        "exhaustive optimum, which it keeps (200 schedules)"
+        "exhaustive optimum, which it keeps (206 schedules, 6 of them of 11 or 12 jobs)"
     )
 
 

@@ -737,24 +737,29 @@ def test_gen_n3dm_files(workdir, capsys):
     assert len(sidecar["jobs"]) == 6
 
 
-@pytest.mark.parametrize("case", ["missing directory", "directory", "sidecar is a directory"])
-def test_gen_n3dm_unwritable_out_exits_2_and_writes_nothing(workdir, capsys, case):
+@pytest.mark.parametrize(
+    "case", ["missing directory", "directory", "sidecar is a directory", "/", ".", ""]
+)
+def test_gen_n3dm_unwritable_out_exits_2_and_writes_nothing(workdir, capsys, monkeypatch, case):
     tmp_path, write = workdir
     src = write("n.json", '{"X":[1],"Y":[2],"Z":[3],"b":6}')
+    monkeypatch.chdir(tmp_path)  # so that "." and "" name the folder checked below
     if case == "missing directory":
         out, reason = tmp_path / "missing" / "hard.json", "No such file or directory"
     elif case == "directory":
         out, reason = tmp_path / "outdir", "Is a directory"
         out.mkdir()
-    else:
+    elif case == "sidecar is a directory":
         out, reason = tmp_path / "hard.json", "Is a directory"
         (tmp_path / "hard.provenance.json").mkdir()
+    else:  # the root, the working directory, and the empty path, which names it too
+        out, reason = case, "Is a directory"
     before = sorted(tmp_path.rglob("*"))
     code, stdout, err = run(capsys, "gen-n3dm", src, "--out", str(out))
     assert code == 2
     assert stdout == ""
     blocked = out if case != "sidecar is a directory" else tmp_path / "hard.provenance.json"
-    assert err == f"error: cannot write {blocked}: {reason}\n"
+    assert err == f"error: cannot write {Path(blocked)}: {reason}\n"
     assert sorted(tmp_path.rglob("*")) == before  # neither file nor a temporary one is left
 
 

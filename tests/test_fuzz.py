@@ -178,7 +178,7 @@ def mutated(draw, doc):
 
 
 @st.composite
-def cli_inputs(draw, command):
+def cli_inputs(draw, command, folder):
     docs = COMMANDS[command]
     if command == "check":  # either schedule format
         docs = (INSTANCE, draw(st.sampled_from(docs[1:])))
@@ -188,6 +188,13 @@ def cli_inputs(draw, command):
     options = []
     if command == "gantt":
         options = ["--width", str(draw(st.sampled_from([1, 7, 60, 10_000, 10_001])))]
+    if command == "gen-n3dm" and draw(st.booleans()):
+        # a directory ("/", the working one, or the empty path that names it), or a
+        # name in the test's folder or in a missing one beneath it; never elsewhere
+        out = draw(st.sampled_from(["/", ".", ""]) | st.text("ab.\0", max_size=4))
+        if out not in ("/", ".", ""):
+            out = str(folder / draw(st.sampled_from(["", "missing"])) / out)
+        options = ["--out", out]
     return texts, options
 
 
@@ -196,7 +203,7 @@ def test_mutated_inputs_end_in_a_documented_exit_code(tmp_path_factory, command)
     folder = tmp_path_factory.mktemp(command)
 
     @settings(FUZZ, max_examples=60)
-    @given(cli_inputs(command))
+    @given(cli_inputs(command, folder))
     def run(call):
         texts, options = call
         files = []

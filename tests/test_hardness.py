@@ -299,9 +299,10 @@ def test_reduction_optimum_is_zero_delta_exactly_when_solvable():
     # an equitable schedule, the best of all n!^2 equitable matchings, and
     # it reaches the value of all-zero deltas exactly when the input is solvable
     rng = random.Random(31)
-    limits = SearchLimits(max_jobs=9)
+    limits = SearchLimits(max_jobs=12, max_candidates=10_000_000)
     outcomes = set()
-    for n, count in ((2, 30), (3, 10)):
+    # size 4 is 12 jobs on 4 processors: its two draws are one solvable input, one not
+    for n, count in ((2, 30), (3, 10), (4, 2)):
         for idx in range(count):
             inp = seeded_n3dm(rng, n, idx % 3)
             hi = gen_instance(inp)
@@ -319,7 +320,7 @@ def test_reduction_optimum_is_zero_delta_exactly_when_solvable():
             solvable = decide(inp)[0]
             assert (value == zero) == solvable, inp
             outcomes.add((n, solvable))
-    assert outcomes == {(2, True), (2, False), (3, True), (3, False)}
+    assert outcomes == {(n, solvable) for n in (2, 3, 4) for solvable in (True, False)}
 
 
 def test_parse_n3dm():

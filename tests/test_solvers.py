@@ -23,6 +23,7 @@ from sharedsched.solvers import (
 )
 
 from conftest import frac, make_instance, oracle_all_maximizers
+from test_assignment_dp import _tie_heavy_cases
 
 D = Dyadic
 
@@ -181,6 +182,53 @@ def test_brute_respects_limits():
         brute_force(small, SearchLimits(max_jobs=8, max_candidates=5))
 
 
+def _dp_candidates(n, m):
+    """The assignment DP's candidates: per processor count, a block for each
+    non-empty job set and each subset of its other jobs; per cell, one
+    private option."""
+    k = min(n, m)
+    return k * (3**n - 1) // 2 + (k + 1) * (2**n - 1)
+
+
+GUARDED = [(f"j{i}", 3 + 2 * i, 1 + i % 3) for i in range(6)]
+REFUSED = "^more than max_candidates = {} candidates to search$"
+
+
+def test_brute_refuses_past_the_dp_count_before_the_subset_phase(monkeypatch):
+    inst = make_instance(GUARDED, 3)
+
+    def subset_phase(*args):
+        raise AssertionError("the subset phase ran")
+
+    monkeypatch.setattr(_permsearch, "_subset_optima", subset_phase)
+    limit = _dp_candidates(6, 3) - 1
+    with pytest.raises(InstanceTooLargeError, match=REFUSED.format(limit)):
+        brute_force(inst, SearchLimits(max_candidates=limit))
+    with pytest.raises(AssertionError, match="the subset phase ran"):  # the count fits exactly
+        brute_force(inst, SearchLimits(max_candidates=limit + 1))
+
+
+def test_brute_counts_prefix_states_depth_by_depth():
+    inst = make_instance(GUARDED, 3)
+    counts = []
+    ps, ws = [p for _, p, _ in GUARDED], [w for _, _, w in GUARDED]
+    _permsearch._subset_optima(ps, ws, counts.append)
+    assert len(counts) == 6 and counts[0] == 1  # the empty prefix, then each depth's states
+    limit = _dp_candidates(6, 3) + sum(counts)
+    assert brute_force(inst, SearchLimits(max_candidates=limit)) == brute_force(inst)
+    for short in (limit - 1, _dp_candidates(6, 3) + 1):  # the DP fits; the prefix states do not
+        with pytest.raises(InstanceTooLargeError, match=REFUSED.format(short)):
+            brute_force(inst, SearchLimits(max_candidates=short))
+
+
+def test_brute_large_candidate_limit_changes_nothing(rng):
+    for _ in range(20):
+        n, m = rng.randint(0, 8), rng.randint(1, 9)
+        jobs = [(rng.randint(1, 60), rng.randint(0, 3), rng.randint(1, 9)) for _ in range(n)]
+        inst = make_instance([(f"j{i}", D(p, e), w) for i, (p, e, w) in enumerate(jobs)], m)
+        assert brute_force(inst, SearchLimits(max_candidates=10**30)) == brute_force(inst)
+
+
 def test_brute_deterministic():
     inst = make_instance([("a", 4, 2), ("b", 4, 2), ("c", 6, 1)], 2)
     first = brute_force(inst)
@@ -222,14 +270,14 @@ def test_equal_weights_brute_agreement(rng):
         assert evaluate(schedule, inst).total == brute_value
 
 
-@pytest.mark.parametrize("n,m", [(9, 2), (9, 3), (9, 4), (10, 2)])
+@pytest.mark.parametrize("n,m", [(9, 2), (9, 3), (9, 4), (10, 2), (12, 2), (12, 3), (12, 4)])
 def test_equal_weights_brute_agreement_past_eight_jobs(n, m):
     rng = random.Random(n * 10 + m)
     for _ in range(2):
         w = D(rng.randint(1, 9), rng.randint(0, 2))
         jobs = [(f"j{i}", D(rng.randint(1, 10**4), rng.randint(0, 3)), w) for i in range(n)]
         inst = make_instance(jobs, m)
-        _, brute_value = brute_force(inst, SearchLimits(max_jobs=10))
+        _, brute_value = brute_force(inst, SearchLimits(max_jobs=n, max_candidates=10_000_000))
         assert evaluate(solve_equal_weights(inst), inst).total == brute_value
 
 
@@ -277,34 +325,6 @@ def _product_sweep(ps, ws, m):
     return best
 
 
-# Each has a job set whose smallest optimal order ends later than another
-# optimal order of it, so that order is off the set's Pareto front.
-_EQUAL_VALUE_ORDERS = [
-    ([2, 4, 5], [3, 3, 4], 1),
-    ([4, 6, 7, 5], [2, 3, 2, 3], 2),
-    ([2, 8, 2, 3, 3], [3, 3, 2, 3, 3], 3),
-]
-
-
-def _tie_heavy_cases(rng, count, max_n, max_m):
-    """Instances built for ties: few distinct p and w, repeated jobs."""
-    cases = list(_EQUAL_VALUE_ORDERS)
-    for idx in range(count):
-        n, m = rng.randint(0, max_n), rng.randint(1, max_m)
-        if idx % 4 == 0:  # one job repeated, plus at most one other
-            twin, other = (rng.randint(2, 8), rng.randint(1, 3)), (rng.randint(2, 8), 1)
-            jobs = [twin if rng.random() < 0.7 else other for _ in range(n)]
-        elif idx % 4 == 1:  # equal p, weights from two values
-            p = rng.randint(2, 9)
-            jobs = [(p, rng.choice((1, 2))) for _ in range(n)]
-        elif idx % 4 == 2:  # equal w, processing times from three values
-            jobs = [(rng.choice((4, 6, 8)), 3) for _ in range(n)]
-        else:  # small values: equal-value orders that end at different times
-            jobs = [(rng.randint(1, 8), rng.randint(1, 3)) for _ in range(n)]
-        cases.append(([p for p, _ in jobs], [w for _, w in jobs], m))
-    return cases
-
-
 def test_search_matches_oracle_tie_break(rng):
     cases = _tie_heavy_cases(rng, 40, 6, 3)
     for _ in range(30):
@@ -335,35 +355,6 @@ def test_search_matches_product_sweep(rng):
     cases += _tie_heavy_cases(rng, 40, 7, 4)
     for ps, ws, m in cases:
         assert _permsearch.search(ps, ws, m) == _product_sweep(ps, ws, m), (ps, ws, m)
-
-
-def _sweep_leaves(n, m):
-    """The labellings the assignment sweep visits: each job private (0),
-    on an opened processor, or on the next one while fewer than m are open."""
-    labellings = [()]
-    for _ in range(n):
-        labellings = [
-            lab + (proc,) for lab in labellings for proc in range(min(max(lab, default=0) + 1, m) + 1)
-        ]
-    return labellings
-
-
-def _partitions(n, m):
-    """Distinct (private jobs, processor blocks) over all (m+1)^n assignments."""
-    seen = set()
-    for assign in product(range(m + 1), repeat=n):
-        blocks = [frozenset(j for j in range(n) if assign[j] == proc) for proc in range(m + 1)]
-        seen.add((blocks[0], frozenset(blocks[1:]) - {frozenset()}))
-    return seen
-
-
-def test_labelling_count_matches_enumeration():
-    for n in range(8):
-        for m in range(1, 10):
-            leaves = _sweep_leaves(n, m)
-            assert _permsearch._labelling_count(n, m) == len(leaves), (n, m)
-            if n <= 4:  # one leaf per partition: relabellings are not revisited
-                assert len(set(leaves)) == len(leaves) == len(_partitions(n, m))
 
 
 def test_pure_kernel_tie_break():
