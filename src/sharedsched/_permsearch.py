@@ -45,8 +45,11 @@ monotone in the sub-cell's tuple, so the sub-cell's smallest tuple gives
 the block's smallest one.  A tuple spans all ``n`` jobs with 0 outside
 ``U``, which no comparison within a cell can tell apart.  Labels are built
 and compared only when a candidate ties or beats the best total so far.
-The cells cost ``k * (3**n - 1) / 2`` block candidates and
-``(k + 1) * (2**n - 1)`` private ones, ``k = min(m, n)``.
+Only the cell of all jobs is read at ``b = k``, ``k = min(m, n)``, and its
+private option chains through the suffixes ``{i, ..., n-1}``, so that
+layer computes just those ``n`` cells.  The cells cost
+``(k - 1) * (3**n - 1) / 2 + (2**n - 1)`` block candidates and
+``k * (2**n - 1) + n`` private ones.
 
 ``subset_best`` is the plain per-subset enumeration of every feasible
 order, kept as the reference for the subset phase.
@@ -162,12 +165,16 @@ def search(
     n = len(p)
     values, perms = _subset_optima(p, w, spend)
     size = 1 << n
+    k = min(m, n)
     totals: list[int] = []
     labels: list[tuple[int, ...]] = []
-    for b in range(min(m, n) + 1):  # the cells of b processors; below, those of b - 1
+    for b in range(k + 1):  # the cells of b processors; below, those of b - 1
         below, below_labels = totals, labels
         totals, labels = [0] * size, [(0,) * n] * size
-        for jobs in range(1, size):
+        # the last layer is read only at all the jobs, whose private option reads all but
+        # the lowest job, and so on: there only the suffixes {i, ..., n-1} are needed
+        cells = range(1, size) if b < k else [(size - 1) >> i << i for i in reversed(range(n))]
+        for jobs in cells:
             rest = jobs & (jobs - 1)  # all but the lowest job
             best, best_labels = totals[rest], labels[rest]  # the lowest job runs privately
             left = rest

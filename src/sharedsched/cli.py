@@ -137,8 +137,8 @@ def _cmd_brute(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    inst = _load_instance(args.instance)
-    chunks = engine._report_chunks(_sync_report(args.schedule, inst))
+    # no name holds the instance: its jobs are freed once the report, which keeps their ids, exists
+    chunks = engine._report_chunks(_sync_report(args.schedule, _load_instance(args.instance)))
     sys.stdout.write(_text(chunks, next))  # every value is checked before the first chunk
     for chunk in chunks:
         sys.stdout.write(chunk)
@@ -256,7 +256,7 @@ def _cmd_gantt(args) -> int:
     if width > _MAX_WIDTH:
         raise OutputTooLargeError(f"--width {width} exceeds the limit of {_MAX_WIDTH} columns")
     inst = _load_instance(args.instance)
-    scale, chunks, private = engine._layout(_sync_report(args.schedule, inst))
+    scale, chunks, private = engine._layout(_sync_report(args.schedule, inst), inst)
     horizon = max(private.values(), default=0)
     # the one value that may not print
     print(f"time 0..{_text(_make(horizon, scale))}  ({width} columns)")

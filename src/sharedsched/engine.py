@@ -21,9 +21,11 @@ each list, rejects the first infeasible one and values the rest, for
 intervals of a schedule that ``evaluate`` walked go through ``_layout``:
 the one route that puts every processor's walk and each job's private
 completion on one integer scale, for ``transforms.from_synchronized``,
-``synchronize``'s exit check and ``gantt``.  The module also computes the
-exact value change of an adjacent transposition and provides the
-structural predicates (V-shape, processing-time/weight inclusivity,
+``synchronize``'s exit check and ``gantt``.  A report keeps its
+instance's job ids but not its jobs, so ``_layout`` takes the instance
+too, for the ``p`` of the jobs on no processor.  The module also
+computes the exact value change of an adjacent transposition and provides
+the structural predicates (V-shape, processing-time/weight inclusivity,
 reverse duality) used by the solvers and the hardness generator.
 """
 
@@ -136,8 +138,9 @@ class EvalReport(_Record):
 
     ``job_overlaps`` lists the instance's jobs in instance order; a job
     that runs on no shared processor has overlap zero.  A report that
-    :func:`evaluate` built makes it on first read.  Equality and hashing
-    leave ``job_overlaps`` out.
+    :func:`evaluate` built keeps the instance's job ids, not its jobs, and
+    makes it from them on first read.  Equality and hashing leave
+    ``job_overlaps`` out.
     """
 
     __match_args__ = ("processors", "job_overlaps", "total")
@@ -155,7 +158,7 @@ class EvalReport(_Record):
 
     @cached_property
     def job_overlaps(self) -> dict[str, Dyadic]:  # as in ProcessorEval
-        value = {job.id: ZERO for job in self._jobs}
+        value = dict.fromkeys(self._ids, ZERO)
         for proc in self.processors:
             value.update(zip(proc.order, proc.overlaps))
         return value
@@ -202,7 +205,7 @@ def _report_chunks(report: EvalReport) -> Iterator[str]:
                 _text(t, s, dens)
     total = str(report.total)
     quote = json.encoder.encode_basestring_ascii  # what json.dumps applies to a str
-    ids = sorted(job.id for job in report._jobs)
+    ids = sorted(report._ids)
     yield '{"job_overlaps": {'
     for i in range(0, len(ids), _SLICE):
         texts = [f'{quote(job)}: "{overlap.get(job, "0")}"' for job in ids[i : i + _SLICE]]
@@ -303,19 +306,22 @@ def _evaluate(orders: Iterable[list[Job]], inst: Instance) -> EvalReport:
         total = total + value
         state = {"id": proc_idx, "order": order, "_times": times, "_scale": s}
         processors.append(_trusted(ProcessorEval, state))
-    state = {"processors": tuple(processors), "total": total, "_jobs": inst.jobs}
+    # the ids, not the jobs: a report keeps none of the instance's Job or Dyadic values alive
+    ids = tuple([job.id for job in inst.jobs])
+    state = {"processors": tuple(processors), "total": total, "_ids": ids}
     return _trusted(EvalReport, state)
 
 
-def _layout(report: EvalReport) -> tuple[int, dict[int, list], dict[str, int]]:
-    """The intervals of a report that :func:`evaluate` built, on one scale:
-    ``(scale, chunks, private)`` with every time an int over ``2**scale``.
-    ``chunks`` maps the id of each processor that runs a job to its
-    ``[start, end, job_id]`` lists in order, as a grid of ``transforms``
-    keeps them; ``private`` maps each job, in instance order, to its private
-    completion: a shared job's ends with its shared interval, and a job on
-    no processor runs ``p`` privately."""
-    procs, jobs = report.processors, report._jobs
+def _layout(report: EvalReport, inst: Instance) -> tuple[int, dict[int, list], dict[str, int]]:
+    """The intervals of a report that :func:`evaluate` built of ``inst``, on
+    one scale: ``(scale, chunks, private)`` with every time an int over
+    ``2**scale``.  ``chunks`` maps the id of each processor that runs a job
+    to its ``[start, end, job_id]`` lists in order, as a grid of
+    ``transforms`` keeps them; ``private`` maps each job of ``inst``, in
+    instance order, to its private completion: a shared job's ends with its
+    shared interval, and a job on no processor runs ``p`` privately.  The
+    report keeps no ``p``, so ``inst`` gives them."""
+    procs, jobs = report.processors, inst.jobs
     scale = max([proc._scale for proc in procs] + [job.p.exponent for job in jobs])
     chunks = {}
     for proc in [proc for proc in procs if proc.order]:

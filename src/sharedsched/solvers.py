@@ -147,8 +147,8 @@ def brute_force(
     instance job order), then lexicographically smallest orders.
 
     ``limits.max_candidates`` bounds the work the search does: the
-    assignment DP's candidates, ``k * (3**n - 1) / 2 + (k + 1) * (2**n - 1)``
-    with ``k = min(m, n)``, counted before the search starts, plus the
+    assignment DP's candidates, ``(k - 1) * (3**n - 1) / 2 + (k + 1) * (2**n - 1)
+    + n`` with ``k = min(m, n)``, counted before the search starts, plus the
     order prefixes the subset phase extends, counted at each depth before
     it extends them.  Past the limit it raises ``InstanceTooLargeError``.
     """
@@ -170,10 +170,11 @@ def brute_force(
             )
 
     # the assignment DP's candidates, known before the search runs: each cell
-    # (jobs U, up to k processors) runs its lowest job privately, or, from one
-    # processor on, opens a block of it and any of the 2**(|U| - 1) sets of the rest
+    # (jobs U, up to b processors) runs its lowest job privately, or, from one
+    # processor on, opens a block of it and any of the 2**(|U| - 1) sets of the rest;
+    # at b = k only the n cells of the suffixes of the jobs are computed
     k = min(n, inst.m)
-    spend(k * (3**n - 1) // 2 + (k + 1) * ((1 << n) - 1))
+    spend((k - 1) * (3**n - 1) // 2 + (k + 1) * ((1 << n) - 1) + n)
     ps, p_exp = _clear_denominators([job.p for job in inst.jobs])
     ws, w_exp = _clear_denominators([job.w for job in inst.jobs])
     best_num, _, orders = _permsearch.search(ps, ws, inst.m, spend)

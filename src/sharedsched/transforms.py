@@ -779,7 +779,7 @@ def synchronize_detailed(g: GeneralSchedule, inst: Instance) -> SynchronizeRepor
     # the loop keeps each job in at most one order, so the schedule needs no re-validation
     schedule = _trusted(SyncSchedule, {"sequences": orders})
     report = evaluate(schedule, inst)
-    grid = _laid_out(report)
+    grid = _laid_out(report, inst)
     _require(grid, inst)  # the exit check
     pass_values.append(("rebalance", report.total))
     values = tuple(pass_values)
@@ -792,11 +792,11 @@ def synchronize(g: GeneralSchedule, inst: Instance) -> SyncSchedule:
     return synchronize_detailed(g, inst).schedule
 
 
-def _laid_out(report: EvalReport) -> _Grid:
+def _laid_out(report: EvalReport, inst: Instance) -> _Grid:
     """The grid of a synchronized schedule, as :func:`engine._layout` lays out
-    the report :func:`evaluate` built of it."""
+    the report :func:`evaluate` built of it and ``inst``."""
     grid = object.__new__(_Grid)
-    grid.scale, grid.chunks, grid.private = _layout(report)
+    grid.scale, grid.chunks, grid.private = _layout(report, inst)
     grid.procs = dict.fromkeys(grid.private)
     grid.procs.update((job_id, p) for p, chunks in grid.chunks.items() for *_, job_id in chunks)
     return grid
@@ -805,7 +805,7 @@ def _laid_out(report: EvalReport) -> _Grid:
 def from_synchronized(schedule: SyncSchedule, inst: Instance) -> GeneralSchedule:
     """Expand per-processor job orders into explicit intervals; the
     placements come in instance order."""
-    return _laid_out(evaluate(schedule, inst)).schedule()
+    return _laid_out(evaluate(schedule, inst), inst).schedule()
 
 
 # -- JSON wire format ---------------------------------------------------------

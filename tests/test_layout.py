@@ -213,7 +213,7 @@ def test_errors_match_the_replaced_layout():
 
 def test_layout_times_match_the_fraction_recurrence():
     for inst, schedule in RANDOM_CASES:
-        scale, chunks, private = engine._layout(evaluate(schedule, inst))
+        scale, chunks, private = engine._layout(evaluate(schedule, inst), inst)
         assert list(chunks) == [proc for proc, seq in enumerate(schedule.sequences, start=1) if seq]
         assert list(private) == [job.id for job in inst.jobs]
         ends = {job.id: frac(job.p) for job in inst.jobs}

@@ -5,15 +5,21 @@ A report's start times on a processor with k jobs carry about k more
 binary digits each, so the ``eval`` report of n jobs on m processors
 grows like n * n/m characters and outgrows the instance.  The CLI writes
 it in chunks of a few hundred jobs or one processor, and
-``parse_instance`` frees each decoded job entry once it has read it.  On
-one seeded run of n = 4,000 jobs on m = 8 processors, in process, this
-module checks that:
+``parse_instance`` frees each decoded job entry once it has read it.  A
+report keeps its instance's job ids, not its ``Job`` records, and
+``eval`` keeps no name bound to the instance, so the jobs and their
+``Dyadic`` values are freed before the report is written.  On one seeded
+run of n = 4,000 jobs on m = 8 processors, in process, this module
+checks that:
 
 * the output is ``json.dumps`` of the report's fields, as the CLI printed
   it before it wrote from integers (:func:`replaced_report_json`);
 * no single write holds more than a quarter of the output;
 * the ``tracemalloc`` peak of the whole call stays within
   ``EVAL_PEAK_RATIO`` times the output's length;
+* at ``eval``'s first write, no ``Job`` that its parse built is alive:
+  the garbage collector tracks as many ``Job`` records as before the call
+  (:func:`live_jobs`);
 * the ``tracemalloc`` peak of ``parse_instance`` stays within
   ``PARSE_PEAK_RATIO`` times the memory it leaves held;
 * ``solve`` on the same instance prints what the route it replaced
@@ -23,12 +29,15 @@ module checks that:
   processor, and builds no report.
 
 The module imports neither pytest nor the test helpers, so it runs on any
-supported interpreter and prints its ratios::
+supported interpreter and prints its ratios, each with the traced peak
+and held memory behind it in MB of 2**20 bytes, the unit of the
+benchmark's ``peak_rss_mb``::
 
     PYTHONPATH=src python tests/test_memory_contract.py
 """
 
 import contextlib
+import gc
 import hashlib
 import json
 import random
@@ -38,11 +47,11 @@ from pathlib import Path
 
 from sharedsched.cli import main
 from sharedsched.engine import _schedule_data, evaluate, parse_sync_schedule
-from sharedsched.model import parse_instance
+from sharedsched.model import Job, parse_instance
 from sharedsched.solvers import solve_equal_weights
 
 N, M, SEED = 4_000, 8, 0
-EVAL_PEAK_RATIO = 2.5
+EVAL_PEAK_RATIO = 1.5
 PARSE_PEAK_RATIO = 1.5
 SOLVE_PEAK_RATIO = 1.05
 
@@ -103,6 +112,28 @@ class Sink:
         pass
 
 
+def live_jobs() -> int:
+    """The number of ``Job`` records the garbage collector tracks: every one
+    not yet freed, since a ``Job`` is tracked from its creation."""
+    return sum(type(obj) is Job for obj in gc.get_objects())
+
+
+class JobCountingSink(Sink):
+    """A :class:`Sink` that counts the live ``Job`` records at its first write."""
+
+    jobs_at_first_write = None
+
+    def write(self, text: str) -> int:
+        if self.jobs_at_first_write is None:
+            self.jobs_at_first_write = live_jobs()
+        return super().write(text)
+
+
+def megabytes(*sizes: int) -> str:
+    """Byte counts in MB of 2**20 bytes."""
+    return ", ".join(f"{size / 2**20:.2f}" for size in sizes)
+
+
 def traced(call):
     """``call()``'s result, and its ``tracemalloc`` peak and held bytes."""
     tracemalloc.start()
@@ -115,7 +146,9 @@ def traced(call):
 
 
 def measure(seed: int = SEED) -> dict:
-    """One traced ``eval`` run and one traced ``parse_instance`` call."""
+    """One traced ``eval`` run, then an untraced one that counts the live
+    ``Job`` records at its first write (``gc.get_objects`` would add its
+    list to a traced peak), and one traced ``parse_instance`` call."""
     instance, schedule = documents(seed)
     with tempfile.TemporaryDirectory() as tmp:
         paths = [Path(tmp, "instance.json"), Path(tmp, "schedule.json")]
@@ -123,7 +156,11 @@ def measure(seed: int = SEED) -> dict:
             path.write_text(text, encoding="utf-8")
         sink = Sink()
         with contextlib.redirect_stdout(sink):
-            code, eval_peak, _ = traced(lambda: main(["eval", *map(str, paths)]))
+            code, eval_peak, eval_held = traced(lambda: main(["eval", *map(str, paths)]))
+        gc.collect()
+        jobs_before, counting = live_jobs(), JobCountingSink()
+        with contextlib.redirect_stdout(counting):
+            main(["eval", *map(str, paths)])
     text = instance.encode()
     inst, parse_peak, parse_held = traced(lambda: parse_instance(text))
     report = evaluate(parse_sync_schedule(schedule, M), inst)
@@ -136,7 +173,10 @@ def measure(seed: int = SEED) -> dict:
         "writes": len(sink.sizes),
         "largest write / output": max(sink.sizes) / output,
         "eval peak / output": eval_peak / output,
+        "eval peak, held MB": megabytes(eval_peak, eval_held),
+        "live Jobs at first write": counting.jobs_at_first_write - jobs_before,
         "parse peak / held": parse_peak / parse_held,
+        "parse peak, held MB": megabytes(parse_peak, parse_held),
     }
 
 
@@ -155,13 +195,14 @@ def measure_solve(seed: int = SEED) -> dict:
             # a first call makes what a process makes once (imports, lazy caches)
             main(["solve", str(path)])
         with contextlib.redirect_stdout(sink):
-            code, solve_peak, _ = traced(lambda: main(["solve", str(path)]))
+            code, solve_peak, solve_held = traced(lambda: main(["solve", str(path)]))
         inst, parse_peak, _ = traced(lambda: parse_instance(path.read_bytes()))
     expected = replaced_solve_text(inst)
     return {
         "solve exit code": code,
         "solve output matches": sink.digest.hexdigest() == hashlib.sha256(expected.encode()).hexdigest(),
         "solve peak / parse peak": solve_peak / parse_peak,
+        "solve peak, held MB": megabytes(solve_peak, solve_held),
     }
 
 
@@ -169,6 +210,7 @@ def check(result: dict) -> None:
     assert result["exit code"] == 0 and result["output matches"], result
     assert result["largest write / output"] <= 1 / 4, result
     assert result["eval peak / output"] <= EVAL_PEAK_RATIO, result
+    assert result["live Jobs at first write"] == 0, result
     assert result["parse peak / held"] <= PARSE_PEAK_RATIO, result
 
 

@@ -185,9 +185,10 @@ def test_brute_respects_limits():
 def _dp_candidates(n, m):
     """The assignment DP's candidates: per processor count, a block for each
     non-empty job set and each subset of its other jobs; per cell, one
-    private option."""
+    private option.  At the last count, k, only the n suffixes of the jobs
+    are cells: 2**n - 1 blocks and n private options."""
     k = min(n, m)
-    return k * (3**n - 1) // 2 + (k + 1) * (2**n - 1)
+    return (k - 1) * (3**n - 1) // 2 + (k + 1) * (2**n - 1) + n
 
 
 GUARDED = [(f"j{i}", 3 + 2 * i, 1 + i % 3) for i in range(6)]
